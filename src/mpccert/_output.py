@@ -1,13 +1,15 @@
-"""Shared output conventions: 12-significant-digit floats, JSON-safe records."""
+"""Shared output conventions: 12-significant-digit floats, CSV tables, JSON-safe records."""
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import sys
+from pathlib import Path
+from typing import Any, Iterable, Optional, Union
 
 import numpy as np
 
-__all__ = ["fmt12", "round12", "json_ready", "dumps_stable"]
+__all__ = ["fmt12", "round12", "write_csv", "json_ready", "dumps_stable"]
 
 
 def fmt12(x: float) -> str:
@@ -21,6 +23,24 @@ def round12(x: float) -> float:
     if not math.isfinite(v):
         return v
     return float(fmt12(v))
+
+
+def write_csv(
+    path: Union[str, Path, None],
+    header: str,
+    rows: Iterable[str],
+    config_line: Optional[str] = None,
+) -> None:
+    """Write an optional ``#config`` echo, the header and the rows, one per line.
+
+    The table goes to ``path`` as ASCII, or to stdout when ``path`` is None.
+    """
+    lines = [f"#config {config_line}"] if config_line else []
+    text = "\n".join([*lines, header, *rows]) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="ascii")
 
 
 def json_ready(obj: Any) -> Any:

@@ -14,12 +14,8 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .certificate import (
-    CLOSED_FORM,
-    CertificateQuery,
-    certificate,
-    max_alpha_over_m,
-)
+from ._output import fmt12, write_csv
+from .certificate import CLOSED_FORM, CertificateQuery, _alpha_profile, certificate
 from .controllability import GammaSequence, constant_gamma, gamma_from_exponential
 
 __all__ = [
@@ -44,10 +40,6 @@ GammaFactory = Callable[[int], GammaSequence]
 REGION_CSV_HEADER = "C,sigma,stable"
 PROFILE_CSV_HEADER = "m,alpha"
 HORIZON_CSV_HEADER = "M,N_hat_m1,N_hat_half,bound_m1,bound_half"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 class HorizonSearchError(RuntimeError):
@@ -84,50 +76,44 @@ def constant_family(M: float) -> GammaFactory:
     return lambda n: constant_gamma(M, n)
 
 
-def _policy_alpha(factory: GammaFactory, n: int, policy: Union[int, str], method: str):
-    """Best certificate at horizon n under the given control-horizon policy."""
-    gamma = factory(n)
-    if isinstance(policy, int):
-        if n <= policy:
-            return None  # this horizon cannot accommodate m yet
-        return certificate(CertificateQuery(gamma, n, policy), method)
-    if policy == "best":
-        return max_alpha_over_m(gamma, n, method)
-    if policy == "half":
-        return certificate(CertificateQuery(gamma, n, max(1, n // 2)), method)
-    raise ValueError(f"unknown policy {policy!r}: expected an integer m, 'best', or 'half'")
-
-
 def minimal_horizon(
     factory: GammaFactory,
     policy: Union[int, str] = 1,
     *,
     n_max: int = 600,
-    method: str = CLOSED_FORM,
 ) -> HorizonResult:
-    """Linear scan for the smallest N >= 2 whose index is nonnegative.
+    """Linear scan for the smallest N >= 2 whose closed-form index is nonnegative.
 
     ``policy`` fixes how the control horizon follows N: a literal integer m,
-    "best" (maximize over m each N), or "half" (m = floor(N/2), at least 1).
-    The scan is linear rather than bisective because alpha need not be
-    monotone in N for arbitrary growth sequences.
+    "best" (maximize over m each N, ties to the smallest m), or "half"
+    (m = floor(N/2), at least 1).  The scan is linear rather than bisective
+    because alpha need not be monotone in N for arbitrary growth sequences.
     """
-    if isinstance(policy, int) and policy < 1:
-        raise ValueError(f"fixed control horizon must be >= 1, got {policy}")
+    if isinstance(policy, int):
+        if policy < 1:
+            raise ValueError(f"fixed control horizon must be >= 1, got {policy}")
+    elif policy not in ("best", "half"):
+        raise ValueError(f"unknown policy {policy!r}: expected an integer m, 'best', or 'half'")
     last_alpha = -math.inf
-    for n in range(2, n_max + 1):
-        res = _policy_alpha(factory, n, policy, method)
-        if res is None:
-            continue
-        if res.alpha >= 0.0:
+    first = policy + 1 if isinstance(policy, int) else 2  # a fixed m needs N >= m + 1
+    for n in range(first, n_max + 1):
+        profile = _alpha_profile(factory(n).values)
+        if policy == "best":
+            m = int(np.argmax(profile)) + 1  # the first maximum
+        elif policy == "half":
+            m = max(1, n // 2)
+        else:
+            m = policy
+        alpha = float(profile[m - 1])
+        if alpha >= 0.0:
             return HorizonResult(
                 n_hat=n,
-                m=res.m,
-                alpha=res.alpha,
+                m=m,
+                alpha=alpha,
                 alpha_before=last_alpha,
                 policy=str(policy),
             )
-        last_alpha = res.alpha
+        last_alpha = alpha
     raise HorizonSearchError(n_max, last_alpha, str(policy))
 
 
@@ -219,34 +205,38 @@ def stability_region(
     m: int,
     C_values: Sequence[float] | np.ndarray | None = None,
     sigma_values: Sequence[float] | np.ndarray | None = None,
-    method: str = CLOSED_FORM,
 ) -> RegionGrid:
-    """Evaluate the stability verdict on a (C, sigma) grid for fixed (N, m).
+    """Evaluate the closed-form stability verdict on a (C, sigma) grid for fixed (N, m).
 
     The verdict is monotone in both parameters (larger overshoot or slower
     decay only hurts), so each sigma-column of the mask is a prefix of
-    stable cells in C.
+    stable cells in C.  Each sigma-column is one call of the profile kernel on the bounds of
+    every C at once, accumulated with the same float operations as
+    :func:`gamma_from_exponential`, so each cell's verdict is that of
+    ``certificate(CertificateQuery(gamma_from_exponential(C, sigma, N), N, m))``.
     """
     if C_values is None or sigma_values is None:
         dC, dS = default_region_axes()
-        C_values = dC if C_values is None else np.asarray(C_values, dtype=float)
-        sigma_values = dS if sigma_values is None else np.asarray(sigma_values, dtype=float)
+        C_values = dC if C_values is None else C_values
+        sigma_values = dS if sigma_values is None else sigma_values
     C_values = np.asarray(C_values, dtype=float)
     sigma_values = np.asarray(sigma_values, dtype=float)
-    if np.any(C_values < 1.0):
-        raise ValueError("overshoot axis must satisfy C >= 1")
-    if np.any((sigma_values <= 0.0) | (sigma_values >= 1.0)):
+    if not np.all(np.isfinite(C_values) & (C_values >= 1.0)):
+        raise ValueError("overshoot axis must satisfy C >= 1 and be finite")
+    if not np.all((sigma_values > 0.0) & (sigma_values < 1.0)):
         raise ValueError("decay axis must lie strictly inside (0, 1)")
+    if not 1 <= m <= horizon - 1:
+        raise ValueError(f"control horizon m = {m} must satisfy 1 <= m <= N - 1 = {horizon - 1}")
     mask = np.zeros((C_values.size, sigma_values.size), dtype=bool)
+    gamma = np.empty((C_values.size, horizon))
     for j, sig in enumerate(sigma_values):
-        for i, C in enumerate(C_values):
-            gamma = gamma_from_exponential(float(C), float(sig), horizon)
-            res = certificate(CertificateQuery(gamma, horizon, m), method)
-            mask[i, j] = res.alpha >= 0.0
-            if not mask[i, j]:
-                # alpha is nonincreasing in C at fixed sigma: the rest of the
-                # column cannot come back
-                break
+        total = np.zeros(C_values.size)
+        term = C_values.copy()
+        for k in range(horizon):
+            total += term
+            gamma[:, k] = total
+            term *= sig
+        mask[:, j] = _alpha_profile(gamma)[:, m - 1] >= 0.0
     return RegionGrid(
         horizon=horizon,
         m=m,
@@ -257,45 +247,40 @@ def stability_region(
 
 
 def alpha_profile_m(gamma: GammaSequence, horizon: int, method: str = CLOSED_FORM) -> list[tuple[int, float]]:
-    """The index as a function of the control horizon m = 1..N-1."""
+    """The index as a function of the control horizon m = 1..N-1.
+
+    The closed form comes from one kernel call; the exact route
+    ("linear_program") solves one program per m.
+    """
+    gamma = gamma.truncated(horizon)
+    if method == CLOSED_FORM:
+        return list(enumerate(_alpha_profile(gamma.values).tolist(), start=1))
     return [
         (m, certificate(CertificateQuery(gamma, horizon, m), method).alpha)
         for m in range(1, horizon)
     ]
 
 
-def _write_lines(path: Union[str, Path], lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 def region_to_csv(grid: RegionGrid, path: Union[str, Path], config_line: str | None = None) -> None:
     """Rows ordered C-major: all sigma for the first C, then the next C."""
-    lines = []
-    if config_line:
-        lines.append(f"#config {config_line}")
-    lines.append(REGION_CSV_HEADER)
-    for i, C in enumerate(grid.C_values):
-        for j, sig in enumerate(grid.sigma_values):
-            lines.append(f"{_fmt(C)},{_fmt(sig)},{int(grid.stable[i, j])}")
-    _write_lines(path, lines)
+    rows = (
+        f"{fmt12(C)},{fmt12(sig)},{int(grid.stable[i, j])}"
+        for i, C in enumerate(grid.C_values)
+        for j, sig in enumerate(grid.sigma_values)
+    )
+    write_csv(path, REGION_CSV_HEADER, rows, config_line)
 
 
-def profile_to_csv(profile: list[tuple[int, float]], path: Union[str, Path], config_line: str | None = None) -> None:
-    lines = []
-    if config_line:
-        lines.append(f"#config {config_line}")
-    lines.append(PROFILE_CSV_HEADER)
-    lines.extend(f"{m},{_fmt(alpha)}" for m, alpha in profile)
-    _write_lines(path, lines)
+def profile_to_csv(
+    profile: list[tuple[int, float]], path: Union[str, Path, None], config_line: str | None = None
+) -> None:
+    """``m,alpha`` rows; to stdout when ``path`` is None."""
+    write_csv(path, PROFILE_CSV_HEADER, (f"{m},{fmt12(alpha)}" for m, alpha in profile), config_line)
 
 
 def horizon_table_to_csv(rows: list[dict], path: Union[str, Path], config_line: str | None = None) -> None:
-    lines = []
-    if config_line:
-        lines.append(f"#config {config_line}")
-    lines.append(HORIZON_CSV_HEADER)
-    lines.extend(
-        f"{_fmt(r['M'])},{r['N_hat_m1']},{r['N_hat_half']},{_fmt(r['bound_m1'])},{_fmt(r['bound_half'])}"
+    lines = (
+        f"{fmt12(r['M'])},{r['N_hat_m1']},{r['N_hat_half']},{fmt12(r['bound_m1'])},{fmt12(r['bound_half'])}"
         for r in rows
     )
-    _write_lines(path, lines)
+    write_csv(path, HORIZON_CSV_HEADER, lines, config_line)

@@ -16,18 +16,17 @@ Two routes are provided:
 * :func:`alpha_closed_form` — a product/telescope formula, evaluated in a
   log-exp form that is safe for horizons in the hundreds.  It is a lower
   bound in general and exact when the first differences of gamma are
-  submultiplicative.
+  submultiplicative.  One kernel gives the whole profile over m in O(N);
+  every closed-form caller in the package reads from it.
 * :func:`alpha_lp` — the exact worst-case index as the value of a small
   linear program over all stage-cost profiles consistent with the bounds.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .controllability import GammaSequence, check_submultiplicative
 
@@ -124,26 +123,27 @@ class CertificateResult:
         }
 
 
-def _tail_ratio(gamma: GammaSequence, lo: int, hi: int) -> float:
-    """The ratio A / (P - A) with A = prod(gamma_i - 1), P = prod(gamma_i),
-    taken over i in [lo, hi] (1-based, inclusive).
+def _alpha_profile(gamma) -> np.ndarray:
+    """Closed-form alpha(N, m) for m = 1..N-1 from gamma_1..gamma_N.
 
-    Evaluated as 1 / expm1(sum log(gamma_i / (gamma_i - 1))) so that horizons
-    of several hundred cannot overflow; a single-index range is returned
-    exactly as gamma - 1, and any gamma_i == 1 makes A (hence the ratio)
-    exactly zero.
+    The index ranges {m+1..N} and {N-m+1..N} are both suffixes ending at N,
+    so one suffix sum of log(gamma_i / (gamma_i - 1)) over i = 2..N gives
+    every ratio A / (P - A) = 1 / expm1(sum) at once (A = prod(gamma_i - 1),
+    P = prod(gamma_i)).  Horizons of several hundred cannot overflow; any
+    gamma_i == 1 in a range makes its sum infinite and the ratio exactly 0,
+    a sum beyond the exp range gives a clean 0, and the single-index range
+    {N} is taken exactly as gamma_N - 1.
+
+    The bounds lie on the last axis and leading axes broadcast: an array of
+    shape (rows, N) gives (rows, N - 1).
     """
-    if any(gamma.gamma(i) == 1.0 for i in range(lo, hi + 1)):
-        return 0.0
-    if lo == hi:
-        g = gamma.gamma(lo)
-        return g - 1.0  # exact: (g-1) / (g - (g-1))
-    s = 0.0
-    for i in range(lo, hi + 1):
-        s += math.log1p(1.0 / (gamma.gamma(i) - 1.0))
-    if s > _EXP_OVERFLOW:
-        return 0.0  # ratio below 1e-304: underflows cleanly
-    return 1.0 / math.expm1(s)
+    g = np.asarray(gamma, dtype=float)[..., 1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.cumsum(np.log1p(1.0 / (g - 1.0))[..., ::-1], axis=-1)[..., ::-1]
+        ratio = np.where(s > _EXP_OVERFLOW, 0.0, 1.0 / np.expm1(s))
+    ratio[..., -1] = g[..., -1] - 1.0  # exact: (g-1) / (g - (g-1))
+    # ratio[k] belongs to the range starting at k + 2: m + 1 and N - m + 1
+    return 1.0 - ratio * ratio[..., ::-1]
 
 
 def alpha_closed_form(query: CertificateQuery) -> CertificateResult:
@@ -159,11 +159,10 @@ def alpha_closed_form(query: CertificateQuery) -> CertificateResult:
     correction term vanishes and alpha = 1 exactly.
     """
     n, m, gamma = query.horizon, query.m, query.gamma
-    alpha = 1.0 - _tail_ratio(gamma, m + 1, n) * _tail_ratio(gamma, n - m + 1, n)
     return CertificateResult(
         horizon=n,
         m=m,
-        alpha=alpha,
+        alpha=float(_alpha_profile(gamma.values[:n])[m - 1]),
         method=CLOSED_FORM,
         submultiplicative=check_submultiplicative(gamma.truncated(n)),
     )
@@ -260,6 +259,8 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
     remains.  Hitting the iteration cap raises :class:`LpError` rather than
     returning a silent wrong answer.
     """
+    from scipy.optimize import linprog  # deferred: importing scipy dominates start-up
+
     n_rows = lp.ineq_matrix.shape[0] + lp.eq_matrix.shape[0]
     cap = max(100, 10 * (n_rows + lp.num_vars))
     res = linprog(
@@ -336,17 +337,20 @@ def certificate(query: CertificateQuery, method: str = CLOSED_FORM) -> Certifica
     raise ValueError(f"unknown method {method!r}")
 
 
-def max_alpha_over_m(gamma: GammaSequence, horizon: int, method: str = CLOSED_FORM) -> CertificateResult:
-    """Best certificate over all control horizons m in {1, ..., N-1}.
+def max_alpha_over_m(gamma: GammaSequence, horizon: int) -> CertificateResult:
+    """Best closed-form certificate over all control horizons m in {1, ..., N-1}.
 
     Ties are broken toward the smallest m (fewer dropped feedback updates).
     """
     if horizon < 2:
         raise ValueError(f"prediction horizon N = {horizon} must be >= 2")
-    best: Optional[CertificateResult] = None
-    for m in range(1, horizon):
-        res = certificate(CertificateQuery(gamma, horizon, m), method)
-        if best is None or res.alpha > best.alpha:
-            best = res
-    assert best is not None
-    return best
+    gamma = gamma.truncated(horizon)
+    profile = _alpha_profile(gamma.values)
+    m = int(np.argmax(profile)) + 1  # the first maximum
+    return CertificateResult(
+        horizon=horizon,
+        m=m,
+        alpha=float(profile[m - 1]),
+        method=CLOSED_FORM,
+        submultiplicative=check_submultiplicative(gamma),
+    )

@@ -52,6 +52,9 @@ from .sim.loop import constant_schedule, measured_alpha, mpc_run, trace_to_csv
 from .sim.lq import gamma_from_riccati
 from .sim.models import MODEL_NAMES, LqModel, LqScalarModel, model_by_name
 
+# models with intrinsic (Riccati) growth bounds, which a campaign certifies from
+_NETWORK_MODELS = ("lq-scalar", "lq-double-integrator")
+
 OUTDIR_ENV = "MPCCERT_OUTDIR"
 
 
@@ -132,12 +135,8 @@ def _cmd_gamma(args) -> int:
     gamma, src = _gamma_from_args(args, args.length)
     gamma = gamma.truncated(args.length)
     out = _resolve_output(args.output)
-    if out is None:
-        print("i,gamma")
-        for i, v in enumerate(gamma.values, start=1):
-            print(f"{i},{fmt12(v)}")
-    else:
-        gamma_to_csv(gamma, out)
+    gamma_to_csv(gamma, out)
+    if out is not None:
         print(f"wrote {gamma.n} bounds to {out}")
     return 0
 
@@ -148,14 +147,9 @@ def _cmd_profile(args) -> int:
     prof = alpha_profile_m(gamma, args.N, method)
     cfg = {**src, "N": args.N, "method": method}
     out = _resolve_output(args.output)
+    profile_to_csv(prof, out, _config_line(cfg))
     if out is not None:
-        profile_to_csv(prof, out, _config_line(cfg))
         print(f"wrote {len(prof)} rows to {out}")
-    else:
-        print(f"#config {_config_line(cfg)}")
-        print("m,alpha")
-        for m, a in prof:
-            print(f"{m},{fmt12(a)}")
     return 0
 
 
@@ -385,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("network", help="seeded dropout campaign with Lyapunov audit")
-    p.add_argument("--model", choices=MODEL_NAMES, required=True)
+    p.add_argument("--model", choices=_NETWORK_MODELS, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m-star", type=int, required=True, help="worst tolerated update gap")
     p.add_argument("--p", type=float, required=True, help="per-step dropout probability")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
+from ._output import fmt12, write_csv
+
 __all__ = [
     "GammaSequence",
     "ExpBound",
@@ -31,11 +33,6 @@ __all__ = [
 ]
 
 GAMMA_CSV_HEADER = "i,gamma"
-
-
-def _fmt(x: float) -> str:
-    """Render a float with 12 significant digits (shared output convention)."""
-    return format(float(x), ".12g")
 
 
 @dataclass(frozen=True)
@@ -198,11 +195,10 @@ def check_submultiplicative(gamma: GammaSequence) -> bool:
     return True
 
 
-def gamma_to_csv(gamma: GammaSequence, path: Union[str, Path]) -> None:
-    """Write ``i,gamma`` rows, one per index starting at i = 1, 12 significant digits."""
-    lines = [GAMMA_CSV_HEADER]
-    lines.extend(f"{i},{_fmt(v)}" for i, v in enumerate(gamma.values, start=1))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+def gamma_to_csv(gamma: GammaSequence, path: Union[str, Path, None]) -> None:
+    """Write ``i,gamma`` rows, one per index starting at i = 1, 12 significant
+    digits; to stdout when ``path`` is None."""
+    write_csv(path, GAMMA_CSV_HEADER, (f"{i},{fmt12(v)}" for i, v in enumerate(gamma.values, start=1)))
 
 
 def gamma_from_csv(path: Union[str, Path]) -> GammaSequence:

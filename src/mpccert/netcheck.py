@@ -11,14 +11,13 @@ that the audit has teeth by re-checking against an inflated index.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ._output import dumps_stable
-from .certificate import CLOSED_FORM, CertificateQuery, certificate
+from .certificate import _alpha_profile
 from .controllability import GammaSequence
 from .sim.loop import LyapunovAudit, dropout_schedule, mpc_run, verify_relaxed_lyapunov
 from .sim.lq import gamma_from_riccati
@@ -49,10 +48,9 @@ class UpToCertificate:
         return self.alpha_star > 0.0
 
 
-def certify_up_to(
-    gamma: GammaSequence, horizon: int, m_star: int, method: str = CLOSED_FORM
-) -> UpToCertificate:
-    """Worst certificate over all control horizons a dropout pattern can force.
+def certify_up_to(gamma: GammaSequence, horizon: int, m_star: int) -> UpToCertificate:
+    """Worst closed-form certificate over all control horizons a dropout
+    pattern can force; ties go to the smallest m.
 
     The minimum is computed, not assumed: for exponential bounds the index
     is monotone in m up to N/2 so the minimum sits at m = 1, but arbitrary
@@ -60,19 +58,14 @@ def certify_up_to(
     """
     if not 1 <= m_star <= horizon - 1:
         raise ValueError(f"m* = {m_star} must satisfy 1 <= m* <= N - 1 = {horizon - 1}")
-    profile = []
-    best_m, best_alpha = 1, math.inf
-    for m in range(1, m_star + 1):
-        a = certificate(CertificateQuery(gamma, horizon, m), method).alpha
-        profile.append((m, a))
-        if a < best_alpha:
-            best_m, best_alpha = m, a
+    profile = _alpha_profile(gamma.truncated(horizon).values)[:m_star]
+    i = int(np.argmin(profile))  # the first minimum
     return UpToCertificate(
         horizon=horizon,
         m_star=m_star,
-        alpha_star=best_alpha,
-        m_at_min=best_m,
-        profile=tuple(profile),
+        alpha_star=float(profile[i]),
+        m_at_min=i + 1,
+        profile=tuple(enumerate(profile.tolist(), start=1)),
     )
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .._output import fmt12
+from .._output import fmt12, write_csv
 from .models import DivergenceError, SystemModel
 from .shooting import ShootingProblem, ShootingSolution, shift_guess, solve_finite_horizon
 
@@ -383,9 +383,6 @@ def trace_to_csv(
     """
     by_time = {u.time: u for u in trace.updates}
     lines = []
-    if config_line:
-        lines.append(f"#config {config_line}")
-    lines.append(_trace_header(trace))
     T = trace.steps
     for n in range(T):
         xs = ",".join(fmt12(v) for v in trace.states[n])
@@ -400,4 +397,4 @@ def trace_to_csv(
     blank_u = "," * (trace.controls.shape[1] - 1) if trace.controls.size else ""
     vn = fmt12(trace.final_value) if trace.final_value is not None else ""
     lines.append(f"{T},{xs},{blank_u},,0,,{vn}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_csv(path, _trace_header(trace), lines, config_line)

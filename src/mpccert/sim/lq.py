@@ -10,7 +10,6 @@ numerical shooting solver.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..controllability import GammaSequence
 
@@ -103,11 +102,13 @@ def gamma_from_riccati(model, n: int) -> GammaSequence:
         p = riccati_values(model.a, model.b, model.q, model.r, n)
         return GammaSequence(tuple(pi / p[0] for pi in p))
     if isinstance(model, LqModel):
+        from scipy.linalg import eigh  # deferred: importing scipy dominates start-up
+
         mats = riccati_matrices(model.A, model.B, model.Q, model.R, n)
         vals = []
         prev = 1.0  # the sequence is monotone in exact arithmetic; clamp
         for P in mats:  # eigensolver round-off so construction never rejects
-            w = scipy.linalg.eigh(P, mats[0], eigvals_only=True)
+            w = eigh(P, mats[0], eigvals_only=True)
             prev = max(prev, float(w[-1]))
             vals.append(prev)
         return GammaSequence(tuple(vals))

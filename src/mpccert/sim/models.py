@@ -230,20 +230,6 @@ def _pendulum_rhs(x1: float, x2: float, x3: float, x4: float, u: float):
     return x2, acc, x4, u
 
 
-def _pendulum_running_cost(x1: float, x2: float, x3: float, x4: float, u: float) -> float:
-    sin1 = math.sin(x1)
-    cos2 = math.cos(x2)
-    inner = (
-        3.51 * sin1 * sin1
-        + 4.82 * x2 * sin1
-        + 2.31 * x2 * x2
-        + 0.01 * x3 * x3
-        + 2.0 * ((1.0 - math.cos(x1)) * (1.0 + cos2 * cos2)) ** 2
-        + 0.1 * x4 * x4
-    )
-    return 1e-4 * u * u + inner * inner
-
-
 class PendulumModel(SystemModel):
     """Inverted pendulum on a cart, zero-order-hold control, period T.
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .models import SystemModel
 
@@ -93,6 +92,8 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     found, flagged ``converged=False`` — callers decide whether that is
     acceptable.
     """
+    from scipy.optimize import minimize  # deferred: importing scipy dominates start-up
+
     model = problem.model
     n = problem.horizon
     cdim = model.control_dim

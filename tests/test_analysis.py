@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpccert import (
+    CertificateQuery,
     HorizonSearchError,
+    certificate,
     constant_family,
     exponential_family,
     gamma_from_exponential,
@@ -142,12 +146,37 @@ class TestStabilityRegion:
         )
         np.testing.assert_array_equal(grid.stable, expect)
 
-    def test_columns_are_prefixes_in_overshoot(self):
-        grid = stability_region(8, 1, C_values=np.linspace(1, 10, 24), sigma_values=[0.3, 0.6, 0.9])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=60), st.data())
+    def test_columns_are_prefixes_in_overshoot(self, n, data):
+        # alpha is nonincreasing in C at fixed sigma, so no column can
+        # become stable again once it has failed
+        m = data.draw(st.integers(min_value=1, max_value=n - 1))
+        sigma = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5))
+        grid = stability_region(n, m, C_values=np.linspace(1, 10, 24), sigma_values=sigma)
         for j in range(grid.sigma_values.size):
             col = grid.stable[:, j]
             k = int(np.count_nonzero(col))
             assert np.all(col[:k]) and not np.any(col[k:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.data())
+    def test_cells_match_single_certificates(self, n, data):
+        m = data.draw(st.integers(min_value=1, max_value=n - 1))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**31 - 1)))
+        sigma = rng.uniform(0.01, 0.99, 5)
+        C = [1.0, *rng.uniform(1.0, 6.0, 6)]
+        if n == 2:
+            C.extend(2.0 / (1.0 + sigma))  # the analytic boundary, rounded
+        grid = stability_region(n, m, C_values=C, sigma_values=sigma)
+        expect = [
+            [
+                certificate(CertificateQuery(gamma_from_exponential(c, s, n), n, m)).alpha >= 0.0
+                for s in sigma
+            ]
+            for c in C
+        ]
+        np.testing.assert_array_equal(grid.stable, expect)
 
     def test_fraction(self):
         # at N = 2 the test is C * (1 + sigma) <= 2: the C = 1 row is stable
@@ -162,6 +191,12 @@ class TestStabilityRegion:
             stability_region(4, 1, C_values=[0.5, 2.0], sigma_values=[0.5])
         with pytest.raises(ValueError):
             stability_region(4, 1, C_values=[2.0], sigma_values=[0.0, 0.5])
+        with pytest.raises(ValueError):
+            stability_region(4, 1, C_values=[np.nan], sigma_values=[0.5])
+        with pytest.raises(ValueError):
+            stability_region(4, 1, C_values=[2.0], sigma_values=[np.nan])
+        with pytest.raises(ValueError):
+            stability_region(4, 4, C_values=[2.0], sigma_values=[0.5])
         with pytest.raises(ValueError):
             default_region_axes(cells=1)
 

@@ -6,6 +6,7 @@ shares no code with either.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mpccert import (
     max_alpha_over_m,
     solve_lp,
 )
+from mpccert.analysis import alpha_profile_m
 
 from conftest import random_monotone_gamma
 
@@ -42,6 +44,8 @@ class TestClosedFormFrozenValues:
         g = GammaSequence((1.2, 1.5))
         res = alpha_closed_form(CertificateQuery(g, 2, 1))
         assert res.alpha == 0.75
+        # the log-exp route would give -1.2499999999999996 here
+        assert alpha_closed_form(CertificateQuery(GammaSequence((1.2, 2.5)), 2, 1)).alpha == -1.25
 
     def test_three_step_horizon_negative_index(self):
         # gamma = (1, 3, 4), N=3, m=1: ranges {2,3} and {3};
@@ -320,6 +324,12 @@ class TestMaxOverControlHorizon:
         # symmetric three-step profile: m=1 and m=2 tie, m=1 wins
         res = max_alpha_over_m(GammaSequence((1.0, 3.0, 4.0)), 3)
         assert res.m == 1
+        # interior tie of a symmetric profile: m=2 and m=3 at N=5
+        res = max_alpha_over_m(constant_gamma(3.0, 5), 5)
+        assert res.m == 2
+        # unit bounds in every range: alpha = 1 exactly for all m
+        res = max_alpha_over_m(GammaSequence((1.0, 1.0, 1.0, 1.5)), 4)
+        assert (res.m, res.alpha) == (1, 1.0)
 
     def test_rejects_tiny_horizon(self):
         with pytest.raises(ValueError):
@@ -327,6 +337,56 @@ class TestMaxOverControlHorizon:
 
 
 # --- property tests -----------------------------------------------------------
+
+
+def exact_alpha_profile(values) -> list[float]:
+    """Oracle: alpha(N, m) for m = 1..N-1 from the product formula
+
+        alpha = 1 - A_1 A_2 / ((P_1 - A_1) (P_2 - A_2))
+
+    in exact rational arithmetic on the given floats, rounded once.  Suffix
+    products over {lo..N} serve both index ranges {m+1..N} and {N-m+1..N}.
+    """
+    g = [Fraction(v) for v in values]
+    n = len(g)
+    A, P = Fraction(1), Fraction(1)
+    ratio = {}
+    for lo in range(n, 1, -1):
+        A *= g[lo - 1] - 1
+        P *= g[lo - 1]
+        ratio[lo] = A / (P - A)
+    return [float(1 - ratio[m + 1] * ratio[n - m + 1]) for m in range(1, n)]
+
+
+@st.composite
+def long_gamma(draw):
+    """Sequences up to N = 400: exponential, constant (M = 1 included),
+    random monotone with flat steps, and the same with leading unit bounds."""
+    n = draw(st.integers(min_value=2, max_value=400))
+    kind = draw(st.sampled_from(["exponential", "constant", "flat-steps", "unit-start"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if kind == "exponential":
+        return gamma_from_exponential(float(rng.uniform(1.0, 6.0)), float(rng.uniform(0.01, 0.99)), n)
+    if kind == "constant":
+        return constant_gamma(float(rng.choice([1.0, rng.uniform(1.0, 50.0)])), n)
+    g = random_monotone_gamma(rng, n)
+    if kind == "unit-start":
+        k = int(rng.integers(1, n + 1))
+        g = GammaSequence((1.0,) * k + g.values[: n - k])
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_gamma())
+def test_profile_matches_exact_product_formula(gamma):
+    n = gamma.n
+    profile = alpha_profile_m(gamma, n)
+    assert [m for m, _ in profile] == list(range(1, n))
+    # relative to max(1, |alpha|): alpha = 1 - q cancels near alpha = 0
+    for (m, a), e in zip(profile, exact_alpha_profile(gamma.values)):
+        assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), (m, a, e)
+    for m in {1, n // 2, n - 1}:
+        assert alpha_closed_form(CertificateQuery(gamma, n, m)).alpha == profile[m - 1][1]
 
 
 @st.composite

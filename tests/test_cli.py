@@ -1,9 +1,15 @@
 """Command-line interface: every subcommand end to end, in process."""
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mpccert.cli import main
+import mpccert
+from mpccert.cli import build_parser, main
 
 
 def run_json(capsys, argv):
@@ -84,16 +90,19 @@ class TestGammaAndCsvInterop:
 
 class TestProfileRegionHorizon:
     def test_profile_csv(self, capsys, tmp_path):
+        argv = ["profile", "--C", "3", "--sigma", "0.6666666667", "--N", "12"]
         out = tmp_path / "profile.csv"
-        assert main(
-            ["profile", "--C", "3", "--sigma", "0.6666666667", "--N", "12", "--output", str(out)]
-        ) == 0
+        assert main([*argv, "--output", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("#config")
         assert lines[1] == "m,alpha"
         assert len(lines) == 2 + 11  # m = 1..11
         best = max(float(l.split(",")[1]) for l in lines[2:])
         assert best == pytest.approx(0.1266, abs=1e-3)
+        # without --output the same table goes to stdout
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_region_csv(self, capsys, tmp_path):
         out = tmp_path / "region.csv"
@@ -178,6 +187,30 @@ class TestNetwork:
         )
         assert rec["violations"] >= 1
 
+    def test_every_model_choice_runs(self, capsys):
+        # each model argparse accepts must reach a report; from the origin
+        # every solve is trivial, which keeps the N = 44 double integrator
+        # (its shortest certified horizon at m* = 1) cheap
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        models = next(a for a in sub.choices["network"]._actions if a.dest == "model").choices
+        args = {
+            "lq-scalar": ["--N", "6", "--m-star", "3", "--x0", "1"],
+            "lq-double-integrator": ["--N", "44", "--m-star", "1", "--x0", "0,0"],
+        }
+        assert set(models) == set(args)
+        for model in models:
+            rec = run_json(
+                capsys,
+                ["network", "--model", model, *args[model], "--p", "0.3", "--seeds", "1", "--steps", "2"],
+            )
+            assert rec["alpha_star"] > 0.0
+            assert rec["violations"] == 0
+
+    def test_model_without_growth_bounds_is_rejected(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["network", "--model", "pendulum", "--N", "8", "--m-star", "2", "--p", "0.3"])
+        assert exc_info.value.code == 2
+
     def test_uncertified_is_refused(self, capsys):
         assert main(
             ["network", "--model", "lq-scalar", "--N", "3", "--m-star", "2",
@@ -210,3 +243,12 @@ class TestArgumentHandling:
                           "--output", str(target)])
         assert target.exists()
         assert not (tmp_path / "elsewhere").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the exact route and the solvers on first use only
+    src = str(Path(mpccert.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, mpccert, mpccert.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -37,6 +37,15 @@ class TestCertifyUpTo:
         assert cert.alpha_star == min(by_m.values())
         assert by_m[cert.m_at_min] == cert.alpha_star
 
+    def test_ties_go_to_the_first_minimum(self):
+        # the closed form is symmetric in m <-> N - m: m = 1 and m = 5 tie
+        cert = certify_up_to(gamma_from_exponential(3.0, 2.0 / 3.0, 6), 6, 5)
+        assert cert.profile[0][1] == cert.profile[4][1] == cert.alpha_star
+        assert cert.m_at_min == 1
+        # unit bounds in every range: alpha = 1 for every m
+        cert = certify_up_to(GammaSequence((1.0, 1.0, 1.0, 1.5)), 4, 3)
+        assert (cert.m_at_min, cert.alpha_star) == (1, 1.0)
+
     def test_invalid_when_any_horizon_uncertified(self):
         g = GammaSequence((1.0, 3.0, 4.0))
         cert = certify_up_to(g, 3, 2)
