@@ -184,6 +184,11 @@ def run_network_experiment(
 ) -> NetworkReport:
     """Certify, simulate each seed, audit every window.
 
+    ``tol`` is the audit's relative tolerance (see
+    :func:`~mpccert.sim.loop.verify_relaxed_lyapunov`): a window violates
+    the relaxed Lyapunov inequality when its margin falls below ``-tol``
+    times the value V_N at the window's start.
+
     The experiment is admissible only if alpha_star > 0 — a nonpositive
     certificate means the dropout level is not covered by the theory and
     the run is refused.  ``audit_alpha`` (default: alpha_star) is the index

@@ -12,9 +12,11 @@ Three concrete plants back the simulation layer:
   accumulated by composite Simpson quadrature on the same substep grid.
 
 A model exposes ``f`` (one control period), ``stage_cost``, ``step`` (both
-at once, with divergence detection) and ``rollout`` (an open-loop sweep
+at once, with divergence detection), ``rollout`` (an open-loop sweep
 that never raises — bad control iterates show up as infinite cost so that
-line searches can back away from them).
+line searches can back away from them) and ``cost_gradient`` (the discrete
+adjoint of a finite rollout: one reverse pass gives the derivative of the
+rollout cost in every control).
 """
 from __future__ import annotations
 
@@ -107,6 +109,20 @@ class SystemModel:
             states[k + 1] = x
         return states, costs
 
+    def cost_gradient(
+        self, states: np.ndarray, controls: np.ndarray, seeds: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Reverse-mode gradient of a rollout with finite costs.
+
+        ``states`` is what ``rollout(states[0], controls)`` returned, and
+        ``seeds`` (optional, shape (n, state_dim)) weights the states x_1..x_n.
+        Returns d/du of sum_k l(x_k, u_k) + sum_k <seeds[k], x_{k+1}>, shape
+        (n, control_dim), by the costate recursion (Bryson & Ho, *Applied
+        Optimal Control*, 1975): lam_n = seeds[n-1], lam_k = d_x l_k +
+        seeds[k-1] + (d_x f_k)' lam_{k+1}, read out as d_u l_k + (d_u f_k)' lam_{k+1}.
+        """
+        raise NotImplementedError
+
     def control_bounds(self, n: int):
         """Per-variable (low, high) pairs for an n-step control vector, or None."""
         if self.u_lower is None and self.u_upper is None:
@@ -144,8 +160,8 @@ class LqScalarModel(SystemModel):
         return self.q * xv * xv + self.r * uv * uv
 
     def rollout(self, x0, controls):
-        # plain-float recursion: this path sits inside every finite-difference
-        # objective evaluation, so it is kept allocation-light
+        # plain-float recursion: this path runs once per objective evaluation
+        # of the shooting solver, so it is kept allocation-light
         u = np.asarray(controls, dtype=float).reshape(-1)
         n = u.size
         a, b, q, r = self.a, self.b, self.q, self.r
@@ -167,6 +183,19 @@ class LqScalarModel(SystemModel):
             x = x_next
             states[k + 1, 0] = x
         return states, costs
+
+    def cost_gradient(self, states, controls, seeds=None):
+        u = np.asarray(controls, dtype=float).reshape(-1).tolist()
+        x = np.asarray(states, dtype=float)[:, 0].tolist()
+        w = [0.0] * len(u) if seeds is None else np.asarray(seeds, dtype=float).reshape(-1).tolist()
+        a, b, q2, r2 = self.a, self.b, 2.0 * self.q, 2.0 * self.r
+        g = [0.0] * len(u)
+        lam = 0.0  # costate of x_{k+1}
+        for k in range(len(u) - 1, -1, -1):
+            lam += w[k]
+            g[k] = r2 * u[k] + b * lam
+            lam = q2 * x[k] + a * lam
+        return np.array(g).reshape(-1, 1)
 
 
 class LqModel(SystemModel):
@@ -194,6 +223,22 @@ class LqModel(SystemModel):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         return float(x @ self.Q @ x + u @ self.R @ u)
+
+    def cost_gradient(self, states, controls, seeds=None):
+        u = np.asarray(controls, dtype=float).reshape(-1, self.control_dim)
+        n = u.shape[0]
+        # stage-cost partials of every step at once; Q and R need not be symmetric
+        lx = np.asarray(states, dtype=float)[:n] @ (self.Q + self.Q.T)
+        lu = u @ (self.R + self.R.T)
+        At, Bt = self.A.T, self.B.T
+        g = np.empty_like(u)
+        lam = np.zeros(self.state_dim)  # costate of x_{k+1}
+        for k in range(n - 1, -1, -1):
+            if seeds is not None:
+                lam = lam + seeds[k]
+            g[k] = lu[k] + Bt @ lam
+            lam = lx[k] + At @ lam
+        return g
 
 
 def lq_scalar() -> LqScalarModel:
@@ -258,12 +303,16 @@ class PendulumModel(SystemModel):
         self.x_upper = np.array([lim, np.inf, np.inf, np.inf])
         self.default_x0 = np.array([math.pi + 1.4, 0.0, 0.0, 0.0])
 
-    def _sweep(self, x, u: float) -> tuple[tuple[float, float, float, float], float]:
+    def _sweep(
+        self, x, u: float, tape: Optional[list] = None
+    ) -> tuple[tuple[float, float, float, float], float]:
         """Integrate one period and accumulate the cost integral in one pass.
 
-        The right-hand side and running cost are inlined: this loop sits
-        under every finite-difference gradient entry of the shooting solver,
-        so per-call overhead dominates wall time if left factored.  Raises
+        The right-hand side and running cost are inlined: this loop runs
+        N times per objective evaluation of the shooting solver, so
+        per-call overhead dominates wall time if left factored.  ``tape``,
+        if given, receives each substep's start state and RK4 stage points
+        for the reverse pass (``_sweep_adjoint``).  Raises
         OverflowError/ValueError if the trig/power evaluations leave the
         floating-point range; ``rollout`` converts that to an infinite cost,
         ``step`` to a :class:`DivergenceError`.
@@ -306,6 +355,8 @@ class PendulumModel(SystemModel):
             d2 = rhs2(n1, n2)
             p1, p2 = x1 + h * n2, x2 + h * d2
             e2 = rhs2(p1, p2)
+            if tape is not None:
+                tape.append((x1, x2, x3, x4, m1, m2, n1, n2, p1, p2))
             # cart chain is linear in (x4, u): RK4 reduces to exact quadrature
             x3 += h * x4 + h * h2 * u
             x1 += h * (x2 + 2.0 * (m2 + n2) + p2) / 6.0
@@ -314,6 +365,102 @@ class PendulumModel(SystemModel):
             w = lrun(x1, x2, x3, x4)
             acc += (2.0 if i % 2 == 0 else 4.0) * w if i < n_sub else w
         return (x1, x2, x3, x4), acc * h / 3.0
+
+    def _sweep_adjoint(self, x, u: float, lam) -> tuple[tuple[float, float, float, float], float]:
+        """Pull an end-of-period adjoint back through one ``_sweep``.
+
+        Given the period's start state ``x`` and the adjoint ``lam`` of its
+        end state, returns the adjoint of the start state and the derivative
+        in ``u``, both of stage cost + <lam, x_end>.  The substeps are
+        recomputed from ``x`` with the forward pass's arithmetic, then
+        reversed stage by stage; the friction sign has zero derivative
+        (it is constant off the deadband and the deadband is a plateau).
+        """
+        sin, cos = math.sin, math.cos
+        pi = math.pi
+        gl = _G / _LENGTH
+        fl = _FRICTION / _LENGTH
+        h = self.T / self.substeps
+        h2 = 0.5 * h
+        h3 = h / 3.0
+        h6 = h / 6.0
+        n_sub = self.substeps
+
+        def drhs2(a1: float, a2: float) -> tuple[float, float, float]:
+            # partials of the angular acceleration in (angle, velocity, u)
+            s, c = sin(a1 + pi), cos(a1 + pi)
+            return -gl * c + u * s, -2.0 * fl * abs(a2), -c
+
+        def dlrun(a1: float, a2: float, a3: float, a4: float) -> tuple[float, float, float, float]:
+            # state partials of the running cost; its u-part is added per period
+            s1, c1 = sin(a1), cos(a1)
+            s2, c2 = sin(a2), cos(a2)
+            v = 1.0 - c1
+            w = 1.0 + c2 * c2
+            p = v * w
+            inner = (
+                3.51 * s1 * s1 + 4.82 * a2 * s1 + 2.31 * a2 * a2
+                + 0.01 * a3 * a3 + 2.0 * p * p + 0.1 * a4 * a4
+            )
+            t = 2.0 * inner
+            return (
+                t * (7.02 * s1 * c1 + 4.82 * a2 * c1 + 4.0 * p * s1 * w),
+                t * (4.82 * s1 + 4.62 * a2 - 8.0 * p * v * c2 * s2),
+                t * 0.02 * a3,
+                t * 0.2 * a4,
+            )
+
+        tape: list = []
+        end, _ = self._sweep(x, u, tape)
+        l1, l2, l3, l4 = lam
+        gu = 2e-4 * u * self.T  # the 1e-4 u^2 term; the Simpson weights sum to T
+        for i in range(n_sub, 0, -1):
+            # Simpson node i closes substep i, which started from tape[i - 1]
+            wt = h3 * ((2.0 if i % 2 == 0 else 4.0) if i < n_sub else 1.0)
+            d1, d2, d3, d4 = dlrun(*(end if i == n_sub else tape[i][:4]))
+            l1 += wt * d1
+            l2 += wt * d2
+            l3 += wt * d3
+            l4 += wt * d4
+            x1, x2, _, _, m1, m2, n1, n2, p1, p2 = tape[i - 1]
+            # cart chain: x3 += h x4 + h h2 u, x4 += h u
+            gu += h * l4 + h * h2 * l3
+            l4 += h * l3
+            # angle chain: stage adjoints of the RK4 combination, then each
+            # stage rhs2(a1, a2) in reverse order
+            gm2 = gn2 = h3 * l1
+            gp2 = h6 * l1
+            gb2, gc2, gd2, ge2 = h6 * l2, h3 * l2, h3 * l2, h6 * l2
+            g1, g2 = l1, l2 + h6 * l1
+            r1, r2, ru = drhs2(p1, p2)  # p = x + h (n2, d2)
+            gp1 = ge2 * r1
+            gp2 += ge2 * r2
+            gu += ge2 * ru
+            g1 += gp1
+            gn2 += h * gp1
+            g2 += gp2
+            gd2 += h * gp2
+            r1, r2, ru = drhs2(n1, n2)  # n = x + h2 (m2, c2)
+            gn1 = gd2 * r1
+            gn2 += gd2 * r2
+            gu += gd2 * ru
+            g1 += gn1
+            gm2 += h2 * gn1
+            g2 += gn2
+            gc2 += h2 * gn2
+            r1, r2, ru = drhs2(m1, m2)  # m = x + h2 (x2, b2)
+            gm1 = gc2 * r1
+            gm2 += gc2 * r2
+            gu += gc2 * ru
+            g1 += gm1
+            g2 += h2 * gm1 + gm2
+            gb2 += h2 * gm2
+            r1, r2, ru = drhs2(x1, x2)
+            l1 = g1 + gb2 * r1
+            l2 = g2 + gb2 * r2
+            gu += gb2 * ru
+        d1, d2, d3, d4 = dlrun(*x)  # Simpson endpoint at the period's start
+        return (l1 + h3 * d1, l2 + h3 * d2, l3 + h3 * d3, l4 + h3 * d4), gu
 
     def f(self, x, u):
         xt, _ = self._sweep(tuple(float(v) for v in np.asarray(x).reshape(4)), float(np.asarray(u).reshape(1)[0]))
@@ -358,6 +505,18 @@ class PendulumModel(SystemModel):
             costs[k] = c
             states[k + 1] = x
         return states, costs
+
+    def cost_gradient(self, states, controls, seeds=None):
+        u = np.asarray(controls, dtype=float).reshape(-1).tolist()
+        xs = [tuple(row) for row in np.asarray(states, dtype=float).tolist()]
+        w = None if seeds is None else np.asarray(seeds, dtype=float).reshape(-1, 4).tolist()
+        g = [0.0] * len(u)
+        lam = (0.0, 0.0, 0.0, 0.0)  # costate of x_{k+1}
+        for k in range(len(u) - 1, -1, -1):
+            if w is not None:
+                lam = tuple(a + b for a, b in zip(lam, w[k]))
+            lam, g[k] = self._sweep_adjoint(xs[k], u[k], lam)
+        return np.array(g).reshape(-1, 1)
 
 
 def pendulum_model(T: float = 0.05, substeps: int = 20) -> PendulumModel:

@@ -2,8 +2,11 @@
 
 The N-step open-loop problem is reduced to an unconstrained (or box-
 constrained) program in the stacked control vector and handed to a
-quasi-Newton method with finite-difference gradients.  Two details matter
-for certification work:
+quasi-Newton method (L-BFGS-B).  Each objective evaluation is one model
+rollout followed by one reverse pass through it (the model's discrete
+adjoint, ``SystemModel.cost_gradient``), so value and exact gradient come
+together at the cost of about two rollouts, whatever the horizon.  Two
+details matter for certification work:
 
 * the objective is normalized by its value at the initial guess, so the
   optimizer's relative termination tests keep working as the closed loop
@@ -38,8 +41,7 @@ class ShootingProblem:
     """One open-loop optimal control problem instance.
 
     ``guess`` is an (N, control_dim) warm start; ``None`` means start from
-    the zero sequence.  ``options`` may override maxiter / ftol / gtol /
-    fd_step.
+    the zero sequence.  ``options`` may override maxiter / ftol / gtol.
     """
 
     model: SystemModel
@@ -70,17 +72,39 @@ class ShootingSolution:
     converged: bool
     iterations: int
     message: str
+    nfev: int  # objective evaluations, each one rollout and one reverse pass
+    # inf-norm of the projected gradient of the normalized objective at
+    # `controls` (the controls are not normalized, so for quadratic costs it
+    # grows like 1 / |x0| as x0 shrinks)
+    grad_norm: float
 
 
-def _box_violation_sq(states: np.ndarray, lo, hi) -> float:
-    v = 0.0
-    if lo is not None:
-        d = np.minimum(states - lo, 0.0)
-        v += float(np.sum(d * d))
-    if hi is not None:
-        d = np.maximum(states - hi, 0.0)
-        v += float(np.sum(d * d))
-    return v
+def _evaluate(model: SystemModel, x0: np.ndarray, controls: np.ndarray):
+    """One rollout and one reverse pass: (states, costs, objective, gradient).
+
+    The objective is the stage-cost sum plus the quadratic state-box
+    penalty on x_1..x_N; the gradient is its derivative in the controls,
+    shape (N, control_dim), with the penalty's derivative entering the
+    reverse pass as per-state seeds.  A rollout that leaves the
+    floating-point range gives ``_BARRIER`` and a zero gradient, a wall
+    the line search backs away from.
+    """
+    states, costs = model.rollout(x0, controls)
+    total = float(np.sum(costs))
+    if not math.isfinite(total):
+        return states, costs, _BARRIER, np.zeros_like(controls)
+    seeds = None
+    if model.x_lower is not None or model.x_upper is not None:
+        violation = 0.0
+        seeds = np.zeros_like(states[1:])
+        for bound, side in ((model.x_lower, np.minimum), (model.x_upper, np.maximum)):
+            if bound is not None:
+                d = side(states[1:] - bound, 0.0)
+                violation += float(np.sum(d * d))
+                seeds += d
+        total += model.state_penalty * violation
+        seeds *= 2.0 * model.state_penalty
+    return states, costs, total, model.cost_gradient(states, controls, seeds)
 
 
 def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
@@ -97,7 +121,7 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     model = problem.model
     n = problem.horizon
     cdim = model.control_dim
-    opts = {"maxiter": 400, "ftol": 1e-12, "gtol": 1e-9, "fd_step": 1e-6}
+    opts = {"maxiter": 400, "ftol": 1e-12, "gtol": 1e-9}
     unknown = set(problem.options) - set(opts)
     if unknown:
         raise ValueError(f"unknown solver options: {sorted(unknown)}")
@@ -105,19 +129,6 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
 
     guess = problem.guess if problem.guess is not None else np.zeros((n, cdim))
     u0 = guess.reshape(-1)
-
-    penalized = model.x_lower is not None or model.x_upper is not None
-
-    def raw_objective(u_flat: np.ndarray) -> float:
-        states, costs = model.rollout(problem.x0, u_flat.reshape(n, cdim))
-        total = float(np.sum(costs))
-        if not math.isfinite(total):
-            return _BARRIER
-        if penalized:
-            total += model.state_penalty * _box_violation_sq(
-                states[1:], model.x_lower, model.x_upper
-            )
-        return total
 
     # normalize so the optimizer's relative tolerances track the problem's
     # own scale.  The one-step cost at x0 is within a bounded factor of the
@@ -131,31 +142,20 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     except (OverflowError, ValueError, FloatingPointError):
         f0 = math.inf
     if not (math.isfinite(f0) and f0 > 1e-30):
-        f0 = raw_objective(u0)
+        f0 = _evaluate(model, problem.x0, guess)[2]
     scale = f0 if (math.isfinite(f0) and f0 > 1e-30) else 1.0
 
-    def objective(u_flat: np.ndarray) -> float:
-        return raw_objective(u_flat) / scale
+    def objective(u_flat: np.ndarray) -> tuple[float, np.ndarray]:
+        _, _, total, grad = _evaluate(model, problem.x0, u_flat.reshape(n, cdim))
+        return total / scale, grad.reshape(-1) / scale
 
-    fd = float(opts["fd_step"])
-
-    def gradient(u_flat: np.ndarray) -> np.ndarray:
-        g = np.empty_like(u_flat)
-        for i in range(u_flat.size):
-            h = fd * max(1.0, abs(u_flat[i]))
-            up = u_flat.copy()
-            up[i] += h
-            um = u_flat.copy()
-            um[i] -= h
-            g[i] = (objective(up) - objective(um)) / (2.0 * h)
-        return g
-
+    bounds = model.control_bounds(n)
     res = minimize(
         objective,
         u0,
-        jac=gradient,
+        jac=True,
         method="L-BFGS-B",
-        bounds=model.control_bounds(n),
+        bounds=bounds,
         options={
             "maxiter": int(opts["maxiter"]),
             "ftol": float(opts["ftol"]),
@@ -165,19 +165,26 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     )
 
     controls = np.asarray(res.x, dtype=float).reshape(n, cdim)
-    states, costs = model.rollout(problem.x0, controls)
-    value = float(np.sum(costs))
-    objective_val = float(res.fun) * scale
+    states, costs, total, grad = _evaluate(model, problem.x0, controls)
+    # the quantity L-BFGS-B tests against gtol: the step to the bounds
+    # along the negative gradient, in the normalized objective
+    u, g = controls.reshape(-1), grad.reshape(-1) / scale
+    if bounds is not None:
+        lo = np.array([-math.inf if b[0] is None else b[0] for b in bounds])
+        hi = np.array([math.inf if b[1] is None else b[1] for b in bounds])
+        g = u - np.clip(u - g, lo, hi)
     message = res.message if isinstance(res.message, str) else str(res.message)
     return ShootingSolution(
         controls=controls,
         states=states,
         stage_costs=np.asarray(costs, dtype=float),
-        value=value,
-        objective=objective_val,
+        value=float(np.sum(costs)),
+        objective=total,
         converged=bool(res.status == 0),
         iterations=int(res.nit),
         message=message,
+        nfev=int(res.nfev),
+        grad_norm=float(np.max(np.abs(g))),
     )
 
 

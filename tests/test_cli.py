@@ -205,6 +205,10 @@ class TestNetwork:
             )
             assert rec["alpha_star"] > 0.0
             assert rec["violations"] == 0
+            # from the origin realized cost and bound are both 0: a finite
+            # ratio within the bound, not 0/0 = inf
+            assert isinstance(rec["cost_ratio_max"], float)
+            assert rec["cost_ratio_max"] <= 1.0 + 1e-6
 
     def test_model_without_growth_bounds_is_rejected(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,0 +1,168 @@
+"""Discrete-adjoint rollout gradients against a finite-difference oracle."""
+import math
+
+import numpy as np
+import pytest
+
+from mpccert.sim import LqModel, lq_double_integrator, lq_scalar, pendulum_model
+from mpccert.sim.models import _SGN_EPS
+from mpccert.sim.shooting import _BARRIER, _evaluate
+
+
+def central_difference(f, u: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order central differences of a scalar function of an array:
+    truncation error O(h^4), round-off O(eps |f| / h)."""
+    g = np.empty_like(u)
+    for i in np.ndindex(u.shape):
+        e = np.zeros_like(u)
+        e[i] = h
+        g[i] = (f(u - 2 * e) - 8 * f(u - e) + 8 * f(u + e) - f(u + 2 * e)) / (12 * h)
+    return g
+
+
+def assert_gradient_matches(adjoint: np.ndarray, oracle: np.ndarray, rel: float = 1e-6) -> None:
+    assert adjoint.shape == oracle.shape
+    assert np.all(np.isfinite(adjoint))
+    err = float(np.max(np.abs(adjoint - oracle)))
+    assert err <= rel * float(np.max(np.abs(oracle))), err
+
+
+def seeded_cost(model, x0, seeds):
+    """sum of stage costs + sum_k <seeds[k], x_{k+1}>, from one rollout."""
+
+    def f(u):
+        states, costs = model.rollout(x0, u)
+        return float(np.sum(costs) + np.sum(seeds * states[1:]))
+
+    return f
+
+
+def nonsymmetric_lq() -> LqModel:
+    # two inputs and non-symmetric weights: d(x'Qx)/dx = (Q + Q')x
+    A = [[1.1, 0.2, 0.0], [0.0, 0.9, 0.3], [0.1, 0.0, 1.0]]
+    B = [[1.0, 0.0], [0.5, 0.2], [0.0, 1.0]]
+    Q = [[2.0, 0.5, 0.0], [-0.3, 1.0, 0.2], [0.0, 0.4, 1.5]]
+    R = [[1.0, 0.3], [-0.1, 2.0]]
+    return LqModel(A, B, Q, R, name="lq-3x2")
+
+
+LQ_CASES = [
+    (lq_scalar, [1.3]),
+    (lq_double_integrator, [0.5, -1.0]),
+    (nonsymmetric_lq, [1.0, -0.5, 0.25]),
+]
+
+
+class TestLqAdjoint:
+    @pytest.mark.parametrize("make, x0", LQ_CASES)
+    def test_random_controls_and_seeds(self, make, x0):
+        model = make()
+        x0 = np.array(x0)
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 9):
+            u = rng.normal(size=(n, model.control_dim))
+            seeds = rng.normal(size=(n, model.state_dim))
+            states, _ = model.rollout(x0, u)
+            assert_gradient_matches(
+                model.cost_gradient(states, u, seeds),
+                central_difference(seeded_cost(model, x0, seeds), u, 1e-3),
+            )
+
+    @pytest.mark.parametrize("make, x0", LQ_CASES)
+    def test_no_seeds_is_the_stage_cost_gradient(self, make, x0):
+        model = make()
+        x0 = np.array(x0)
+        u = np.random.default_rng(3).normal(size=(6, model.control_dim))
+        states, _ = model.rollout(x0, u)
+        zero = np.zeros((6, model.state_dim))
+        np.testing.assert_array_equal(
+            model.cost_gradient(states, u), model.cost_gradient(states, u, zero)
+        )
+
+    def test_scalar_two_step_by_hand(self):
+        # J = x0^2 + u0^2 + (2 x0 + u0)^2 + u1^2 with (a, b, q, r) = (2, 1, 1, 1)
+        model = lq_scalar()
+        u = np.array([[0.5], [-1.0]])
+        states, _ = model.rollout(np.array([1.0]), u)
+        np.testing.assert_allclose(
+            model.cost_gradient(states, u), [[2 * 0.5 + 2 * 2.5], [-2.0]], rtol=1e-15
+        )
+
+
+class TestPendulumAdjoint:
+    def test_random_controls_and_seeds(self):
+        model = pendulum_model()
+        rng = np.random.default_rng(11)
+        for x0 in ([math.pi + 1.4, 0.0, 0.0, 0.0], [0.3, -0.5, 0.2, 0.1]):
+            x0 = np.array(x0)
+            u = rng.normal(size=(5, 1))
+            seeds = rng.normal(size=(5, 4))
+            states, costs = model.rollout(x0, u)
+            assert np.all(np.isfinite(costs))
+            assert_gradient_matches(
+                model.cost_gradient(states, u, seeds),
+                central_difference(seeded_cost(model, x0, seeds), u, 1e-3),
+            )
+
+    def test_coarse_substeps(self):
+        model = pendulum_model(T=0.2, substeps=4)
+        x0 = np.array([1.0, 0.5, -0.2, 0.3])
+        u = np.random.default_rng(2).normal(size=(4, 1))
+        states, _ = model.rollout(x0, u)
+        seeds = np.ones((4, 4))
+        assert_gradient_matches(
+            model.cost_gradient(states, u, seeds),
+            central_difference(seeded_cost(model, x0, seeds), u, 1e-3),
+        )
+
+    def test_angle_box_penalty_enters_the_gradient(self):
+        # start just inside the upper angle limit, spinning outward: the
+        # shooting objective carries the quadratic box penalty
+        model = pendulum_model()
+        x0 = np.array([2.0 * math.pi - 0.05, 3.0, 0.0, 0.0])
+        u = np.random.default_rng(5).normal(scale=0.5, size=(6, 1))
+        states, costs, objective, grad = _evaluate(model, x0, u)
+        assert np.max(states[1:, 0]) > model.x_upper[0]
+        penalty = objective - float(np.sum(costs))
+        assert penalty > float(np.sum(costs))  # the penalty dominates
+        assert_gradient_matches(
+            grad, central_difference(lambda v: _evaluate(model, x0, v)[2], u, 1e-4)
+        )
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0, 0.0], [math.pi, 0.0, 0.0, 0.0]])
+    def test_sign_deadband_at_the_equilibria(self, x0):
+        # at zero angular velocity the friction sign sits in its deadband,
+        # which has zero derivative; with u = 0 both equilibria are fixed
+        # points, the dynamics are odd about them and the cost even, so the
+        # exact gradient is zero and symmetric differences see no kick
+        model = pendulum_model()
+        x0 = np.array(x0)
+        u = np.zeros((3, 1))
+        states, _ = model.rollout(x0, u)
+        np.testing.assert_allclose(states, np.tile(x0, (4, 1)), rtol=0.0, atol=1e-15)
+        assert np.all(np.abs(states[:, 1]) < _SGN_EPS)
+        grad = model.cost_gradient(states, u)
+        oracle = central_difference(lambda v: float(np.sum(model.rollout(x0, v)[1])), u, 1e-3)
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad, 0.0, atol=1e-9)
+        np.testing.assert_allclose(oracle, 0.0, atol=1e-9)
+
+
+class TestBarrier:
+    @pytest.mark.parametrize(
+        "make, x0, big",
+        [
+            (lq_scalar, [1.0], 1e200),
+            (lq_double_integrator, [1.0, 0.0], 1e200),
+            (pendulum_model, [0.1, 0.0, 0.0, 0.0], 1e160),
+        ],
+    )
+    def test_overflowing_rollout_returns_the_barrier(self, make, x0, big):
+        model = make()
+        u = np.zeros((3, model.control_dim))
+        u[1, 0] = big
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, costs, objective, grad = _evaluate(model, np.array(x0), u)
+        assert not math.isfinite(float(np.sum(costs)))
+        assert objective == _BARRIER
+        np.testing.assert_array_equal(grad, np.zeros_like(u))

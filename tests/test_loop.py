@@ -138,6 +138,13 @@ class TestMpcRun:
         with pytest.raises(DivergenceError, match="startup"):
             mpc_run(model, 4, constant_schedule(1, 2), np.array([1.0]), 2, startup=1)
 
+    def test_updates_carry_solver_diagnostics(self):
+        trace = mpc_run(lq_scalar(), 6, constant_schedule(2, 3), np.array([1.0]), 6)
+        for rec in trace.updates:
+            assert rec.converged
+            assert rec.nfev >= rec.iterations >= 1
+            assert 0.0 <= rec.grad_norm < 1e-6
+
     def test_window_values_close_every_window(self):
         model = lq_scalar()
         trace = mpc_run(model, 6, constant_schedule(2, 5), np.array([1.0]), 10)
@@ -214,6 +221,28 @@ class TestLyapunovAudit:
         audit = verify_relaxed_lyapunov(trace, 0.25)
         assert audit.cost_bound == pytest.approx(trace.updates[0].value / 0.25, rel=1e-12)
         assert audit.realized_cost == pytest.approx(float(np.sum(trace.stage_costs)), rel=1e-12)
+
+    def test_tolerance_is_relative(self):
+        # LQ loops are homogeneous: from 1e-10 x0 every value is 1e-20 times
+        # the one from x0, so the audit must flag the same windows.  At
+        # N = 3, m = 2 windows decrease by 0.8 of their cost and m = 1
+        # windows by 0.92, so alpha = 0.85 splits them
+        sched = dropout_schedule(0.5, 2, 8, seed=3)
+        flagged = []
+        for x0 in (1.0, 1e-10):
+            trace = mpc_run(lq_scalar(), 3, sched, np.array([x0]), 8)
+            audit = verify_relaxed_lyapunov(trace, 0.85)
+            flagged.append([v.index for v in audit.violations])
+            assert 0 < len(audit.violations) < len(audit.windows)
+        assert flagged[0] == flagged[1]
+
+    def test_loop_at_the_target_meets_its_bound(self):
+        # realized cost 0 against a bound of 0: nothing is spent
+        trace = mpc_run(lq_scalar(), 6, constant_schedule(1, 3), np.array([0.0]), 3)
+        audit = verify_relaxed_lyapunov(trace, 0.5)
+        assert audit.realized_cost == 0.0 and audit.cost_bound == 0.0
+        assert audit.cost_ratio == 0.0
+        assert audit.cost_ok and audit.ok
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):

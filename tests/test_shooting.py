@@ -16,6 +16,7 @@ from mpccert.sim import (
     shift_guess,
     solve_finite_horizon,
 )
+from mpccert.sim.shooting import _evaluate
 
 
 class TestRiccatiRecursion:
@@ -89,6 +90,42 @@ class TestScalarShooting:
         expect = riccati_value(model, 6, x0)
         assert sol.value == pytest.approx(expect, rel=1e-6)
 
+    def test_matches_riccati_to_1e9_through_N15(self):
+        # single shooting on this plant is ill-conditioned (about 4^N): the
+        # gradient must be exact for V_N to reach 1e-9 at N = 13..15
+        model = lq_scalar()
+        for n in range(2, 16):
+            for x in (1.0, -0.7, 2.5, 1e-3):
+                x0 = np.array([x])
+                sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+                assert sol.converged, (n, x)
+                assert sol.value == pytest.approx(riccati_value(model, n, x0), rel=1e-9), (n, x)
+
+    def test_diagnostics(self):
+        # grad_norm is the normalized gradient's inf-norm at the returned
+        # controls; the normalization is the one-step cost at x0
+        model = lq_scalar()
+        x0 = np.array([2.0])
+        sol = solve_finite_horizon(ShootingProblem(model, 8, x0))
+        _, _, _, grad = _evaluate(model, x0, sol.controls)
+        scale = model.stage_cost(x0, model.u_star)
+        assert sol.grad_norm == pytest.approx(float(np.max(np.abs(grad))) / scale, rel=1e-12)
+        assert sol.grad_norm < 1e-6
+        assert sol.nfev >= sol.iterations >= 1
+
+    def test_grad_norm_is_projected_onto_active_bounds(self):
+        # u_0 would go to about -1.9 unbounded; at the bound the raw gradient
+        # still pulls outward, the projected one is zero
+        model = lq_scalar()
+        model.u_lower = np.array([-0.5])
+        x0 = np.array([2.0])
+        sol = solve_finite_horizon(ShootingProblem(model, 4, x0))
+        assert sol.converged
+        assert sol.controls[0, 0] == -0.5
+        _, _, _, grad = _evaluate(model, x0, sol.controls)
+        assert grad[0, 0] / model.stage_cost(x0, model.u_star) > 1.0
+        assert sol.grad_norm < 1e-6
+
     def test_converged_flag_and_costs(self):
         model = lq_scalar()
         sol = solve_finite_horizon(ShootingProblem(model, 5, np.array([1.0])))
@@ -135,10 +172,9 @@ class TestPendulumShooting:
 class TestProblemPlumbing:
     def test_option_validation(self):
         model = lq_scalar()
-        with pytest.raises(ValueError, match="unknown solver options"):
-            solve_finite_horizon(
-                ShootingProblem(model, 4, np.array([1.0]), options={"tol": 1e-8})
-            )
+        for bad in ({"tol": 1e-8}, {"fd_step": 1e-6}):
+            with pytest.raises(ValueError, match="unknown solver options"):
+                solve_finite_horizon(ShootingProblem(model, 4, np.array([1.0]), options=bad))
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
