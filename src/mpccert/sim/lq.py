@@ -22,54 +22,68 @@ __all__ = [
 ]
 
 
-def riccati_values(a: float, b: float, q: float, r: float, n: int) -> list[float]:
-    """Scalar cost-to-go coefficients p_1..p_n  (V_i(x) = p_i * x^2).
+def _scalar_recursion(a: float, b: float, q: float, r: float, n: int) -> tuple[list[float], list[float]]:
+    """Cost-to-go coefficients p_1..p_n and gains k_1..k_n, in plain floats.
 
-    p_1 = q (one stage, no input needed), then
-    p_{k+1} = q + p_k a^2 r / (r + b^2 p_k).
+    p_1 = q and k_1 = 0 (one stage, no input needed), then with
+    s = r + b^2 p_k: k_{k+1} = a b p_k / s and p_{k+1} = q + p_k a^2 r / s.
     """
     if q <= 0.0 or r <= 0.0:
         raise ValueError("stage weights q, r must be positive")
     if n < 1:
         raise ValueError("need at least one step")
-    p = [float(q)]
+    p, k = [float(q)], [0.0]
     for _ in range(n - 1):
         pk = p[-1]
-        p.append(q + pk * a * a * r / (r + b * b * pk))
-    return p
+        s = r + b * b * pk
+        k.append(a * b * pk / s)
+        p.append(q + pk * a * a * r / s)
+    return p, k
 
 
-def riccati_matrices(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, n: int
-) -> list[np.ndarray]:
-    """Matrix cost-to-go P_1..P_n for x' Q x + u' R u stage cost."""
+def _matrix_recursion(A, B, Q, R, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Cost-to-go matrices P_1..P_n and gains K_1..K_n (u = -K_i x optimal
+    for the i-step problem; K_1 = 0).  The weights enter through their
+    symmetric parts, which alone determine x' Q x and u' R u."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if n < 1:
         raise ValueError("need at least one step")
-    out = [Q.copy()]
+    Q = 0.5 * (Q + Q.T)
+    R = 0.5 * (R + R.T)
+    mats, gains = [Q.copy()], [np.zeros((B.shape[1], A.shape[0]))]
     for _ in range(n - 1):
-        P = out[-1]
+        P = mats[-1]
         S = R + B.T @ P @ B
         K = np.linalg.solve(S, B.T @ P @ A)
-        out.append(Q + A.T @ P @ A - A.T @ P @ B @ K)
-    return out
+        gains.append(K)
+        mats.append(Q + A.T @ P @ A - A.T @ P @ B @ K)
+    return mats, gains
+
+
+def riccati_values(a: float, b: float, q: float, r: float, n: int) -> list[float]:
+    """Scalar cost-to-go coefficients p_1..p_n  (V_i(x) = p_i * x^2).
+
+    p_1 = q (one stage, no input needed), then
+    p_{k+1} = q + p_k a^2 r / (r + b^2 p_k).
+    """
+    return _scalar_recursion(a, b, q, r, n)[0]
+
+
+def riccati_matrices(
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, n: int
+) -> list[np.ndarray]:
+    """Matrix cost-to-go P_1..P_n for x' Q x + u' R u stage cost."""
+    return _matrix_recursion(A, B, Q, R, n)[0]
 
 
 def riccati_gains(
     A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, n: int
 ) -> list[np.ndarray]:
-    """Feedback gains K_i with u = -K_i x optimal for the i-step problem (i >= 2)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    mats = riccati_matrices(A, B, Q, R, n)
-    gains = [np.zeros((np.atleast_2d(B).shape[1], A.shape[0]))]  # 1-step: no move needed
-    for P in mats[:-1]:
-        S = np.atleast_2d(np.asarray(R, dtype=float)) + B.T @ P @ B
-        gains.append(np.linalg.solve(S, B.T @ P @ A))
-    return gains
+    """Feedback gains K_1..K_n with u = -K_i x optimal for the i-step problem."""
+    return _matrix_recursion(A, B, Q, R, n)[1]
 
 
 def riccati_value(model, n: int, x) -> float:

@@ -16,12 +16,15 @@ at once, with divergence detection), ``rollout`` (an open-loop sweep
 that never raises — bad control iterates show up as infinite cost so that
 line searches can back away from them) and ``cost_gradient`` (the discrete
 adjoint of a finite rollout: one reverse pass gives the derivative of the
-rollout cost in every control).
+rollout cost in every control).  A caller that wants both passes hands the
+same ``tape`` list to ``rollout`` and then to ``cost_gradient``: a model
+whose reverse pass needs the forward pass's intermediates (the pendulum's
+RK4 stages) records them there once instead of recomputing them.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,8 +37,6 @@ __all__ = [
     "lq_scalar",
     "lq_double_integrator",
     "pendulum_model",
-    "pendulum_stage_cost",
-    "integrate_sampled",
     "model_by_name",
     "MODEL_NAMES",
 ]
@@ -81,12 +82,16 @@ class SystemModel:
             raise DivergenceError(f"{self.name}: state norm exceeded {DIVERGENCE_NORM:g}")
         return x_next, float(cost)
 
-    def rollout(self, x0: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rollout(
+        self, x0: np.ndarray, controls: np.ndarray, tape: Optional[list] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Open-loop sweep used by the optimizer; never raises.
 
         Returns (states, costs) with shapes (n+1, state_dim) and (n,).  Once
         an iterate goes non-finite the remaining costs are +inf and the
-        state is frozen, which the line search treats as a wall.
+        state is frozen, which the line search treats as a wall.  ``tape``
+        receives what ``cost_gradient`` needs beyond the states; models whose
+        reverse pass reads only the states, as here, leave it empty.
         """
         controls = np.asarray(controls, dtype=float).reshape(-1, self.control_dim)
         n = controls.shape[0]
@@ -110,12 +115,18 @@ class SystemModel:
         return states, costs
 
     def cost_gradient(
-        self, states: np.ndarray, controls: np.ndarray, seeds: Optional[np.ndarray] = None
+        self,
+        states: np.ndarray,
+        controls: np.ndarray,
+        seeds: Optional[np.ndarray] = None,
+        tape: Optional[list] = None,
     ) -> np.ndarray:
         """Reverse-mode gradient of a rollout with finite costs.
 
         ``states`` is what ``rollout(states[0], controls)`` returned, and
         ``seeds`` (optional, shape (n, state_dim)) weights the states x_1..x_n.
+        ``tape``, if given, is the list that same rollout filled; without it
+        a model recomputes what it needs from the states.
         Returns d/du of sum_k l(x_k, u_k) + sum_k <seeds[k], x_{k+1}>, shape
         (n, control_dim), by the costate recursion (Bryson & Ho, *Applied
         Optimal Control*, 1975): lam_n = seeds[n-1], lam_k = d_x l_k +
@@ -159,7 +170,7 @@ class LqScalarModel(SystemModel):
         xv, uv = float(x[0]), float(u[0])
         return self.q * xv * xv + self.r * uv * uv
 
-    def rollout(self, x0, controls):
+    def rollout(self, x0, controls, tape=None):
         # plain-float recursion: this path runs once per objective evaluation
         # of the shooting solver, so it is kept allocation-light
         u = np.asarray(controls, dtype=float).reshape(-1)
@@ -184,7 +195,7 @@ class LqScalarModel(SystemModel):
             states[k + 1, 0] = x
         return states, costs
 
-    def cost_gradient(self, states, controls, seeds=None):
+    def cost_gradient(self, states, controls, seeds=None, tape=None):
         u = np.asarray(controls, dtype=float).reshape(-1).tolist()
         x = np.asarray(states, dtype=float)[:, 0].tolist()
         w = [0.0] * len(u) if seeds is None else np.asarray(seeds, dtype=float).reshape(-1).tolist()
@@ -208,8 +219,23 @@ class LqModel(SystemModel):
         B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         R = np.atleast_2d(np.asarray(R, dtype=float))
-        self.state_dim = A.shape[0]
-        self.control_dim = B.shape[1]
+        n, m = A.shape[0], B.shape[1]
+        if A.shape != (n, n) or Q.shape != (n, n) or R.shape != (m, m):
+            raise ValueError(
+                f"shapes A {A.shape}, B {B.shape}, Q {Q.shape}, R {R.shape} do not fit together"
+            )
+        if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(R))):
+            raise ValueError("stage weights Q, R must be finite")
+        # only the symmetric parts enter the cost; the Riccati recursion
+        # needs sym(R) positive definite and sym(Q) positive semidefinite
+        wq = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+        wr = np.linalg.eigvalsh(0.5 * (R + R.T))
+        if not wr[0] > 0.0:
+            raise ValueError(f"sym(R) must be positive definite; smallest eigenvalue {wr[0]:.3g}")
+        if wq[0] < -1e-12 * float(np.max(np.abs(wq))):  # eigensolver round-off
+            raise ValueError(f"sym(Q) must be positive semidefinite; smallest eigenvalue {wq[0]:.3g}")
+        self.state_dim = n
+        self.control_dim = m
         self.name = name
         super().__init__()
         self.A, self.B, self.Q, self.R = A, B, Q, R
@@ -224,7 +250,7 @@ class LqModel(SystemModel):
         u = np.asarray(u, dtype=float)
         return float(x @ self.Q @ x + u @ self.R @ u)
 
-    def cost_gradient(self, states, controls, seeds=None):
+    def cost_gradient(self, states, controls, seeds=None, tape=None):
         u = np.asarray(controls, dtype=float).reshape(-1, self.control_dim)
         n = u.shape[0]
         # stage-cost partials of every step at once; Q and R need not be symmetric
@@ -264,15 +290,6 @@ _FRICTION = 0.01  # both air and rotational friction coefficients
 # meaningful velocity; it makes the exact equilibria of the field exact
 # fixed points of the integrator too.
 _SGN_EPS = 1e-12
-
-
-def _pendulum_rhs(x1: float, x2: float, x3: float, x4: float, u: float):
-    """Continuous-time right-hand side; the angle is measured from upright."""
-    s = math.sin(x1 + math.pi)
-    c = math.cos(x1 + math.pi)
-    sgn = 1.0 if x2 > _SGN_EPS else (-1.0 if x2 < -_SGN_EPS else 0.0)
-    acc = -(_G / _LENGTH) * s - (_FRICTION / _LENGTH) * x2 * abs(x2) - u * c - _FRICTION * sgn
-    return x2, acc, x4, u
 
 
 class PendulumModel(SystemModel):
@@ -366,14 +383,17 @@ class PendulumModel(SystemModel):
             acc += (2.0 if i % 2 == 0 else 4.0) * w if i < n_sub else w
         return (x1, x2, x3, x4), acc * h / 3.0
 
-    def _sweep_adjoint(self, x, u: float, lam) -> tuple[tuple[float, float, float, float], float]:
+    def _sweep_adjoint(
+        self, steps: list, end, u: float, lam
+    ) -> tuple[tuple[float, float, float, float], float]:
         """Pull an end-of-period adjoint back through one ``_sweep``.
 
-        Given the period's start state ``x`` and the adjoint ``lam`` of its
-        end state, returns the adjoint of the start state and the derivative
-        in ``u``, both of stage cost + <lam, x_end>.  The substeps are
-        recomputed from ``x`` with the forward pass's arithmetic, then
-        reversed stage by stage; the friction sign has zero derivative
+        ``steps`` is the tape that ``_sweep`` recorded for the period (one
+        entry per substep, the first starting from the period's start
+        state), ``end`` the state it returned, and ``lam`` the adjoint of
+        that end state.  Returns the adjoint of the start state and the
+        derivative in ``u``, both of stage cost + <lam, x_end>, reversing
+        the substeps stage by stage; the friction sign has zero derivative
         (it is constant off the deadband and the deadband is a plateau).
         """
         sin, cos = math.sin, math.cos
@@ -410,19 +430,17 @@ class PendulumModel(SystemModel):
                 t * 0.2 * a4,
             )
 
-        tape: list = []
-        end, _ = self._sweep(x, u, tape)
         l1, l2, l3, l4 = lam
         gu = 2e-4 * u * self.T  # the 1e-4 u^2 term; the Simpson weights sum to T
         for i in range(n_sub, 0, -1):
             # Simpson node i closes substep i, which started from tape[i - 1]
             wt = h3 * ((2.0 if i % 2 == 0 else 4.0) if i < n_sub else 1.0)
-            d1, d2, d3, d4 = dlrun(*(end if i == n_sub else tape[i][:4]))
+            d1, d2, d3, d4 = dlrun(*(end if i == n_sub else steps[i][:4]))
             l1 += wt * d1
             l2 += wt * d2
             l3 += wt * d3
             l4 += wt * d4
-            x1, x2, _, _, m1, m2, n1, n2, p1, p2 = tape[i - 1]
+            x1, x2, _, _, m1, m2, n1, n2, p1, p2 = steps[i - 1]
             # cart chain: x3 += h x4 + h h2 u, x4 += h u
             gu += h * l4 + h * h2 * l3
             l4 += h * l3
@@ -459,7 +477,7 @@ class PendulumModel(SystemModel):
             l1 = g1 + gb2 * r1
             l2 = g2 + gb2 * r2
             gu += gb2 * ru
-        d1, d2, d3, d4 = dlrun(*x)  # Simpson endpoint at the period's start
+        d1, d2, d3, d4 = dlrun(*steps[0][:4])  # Simpson endpoint at the period's start
         return (l1 + h3 * d1, l2 + h3 * d2, l3 + h3 * d3, l4 + h3 * d4), gu
 
     def f(self, x, u):
@@ -484,7 +502,7 @@ class PendulumModel(SystemModel):
             raise DivergenceError(f"{self.name}: state norm exceeded {DIVERGENCE_NORM:g}")
         return x_next, c
 
-    def rollout(self, x0, controls):
+    def rollout(self, x0, controls, tape=None):
         u = np.asarray(controls, dtype=float).reshape(-1)
         n = u.size
         states = np.empty((n + 1, 4))
@@ -495,7 +513,7 @@ class PendulumModel(SystemModel):
             try:
                 # plain float keeps the sweep in Python arithmetic, where
                 # blow-ups raise OverflowError instead of warning silently
-                x, c = self._sweep(x, float(u[k]))
+                x, c = self._sweep(x, float(u[k]), tape)
             except (OverflowError, ValueError):
                 states[k + 1 :] = states[k]
                 return states, costs
@@ -506,57 +524,27 @@ class PendulumModel(SystemModel):
             states[k + 1] = x
         return states, costs
 
-    def cost_gradient(self, states, controls, seeds=None):
+    def cost_gradient(self, states, controls, seeds=None, tape=None):
         u = np.asarray(controls, dtype=float).reshape(-1).tolist()
         xs = [tuple(row) for row in np.asarray(states, dtype=float).tolist()]
+        if tape is None:  # re-record the substeps from the states
+            tape = []
+            for k in range(len(u)):
+                self._sweep(xs[k], u[k], tape)
         w = None if seeds is None else np.asarray(seeds, dtype=float).reshape(-1, 4).tolist()
         g = [0.0] * len(u)
         lam = (0.0, 0.0, 0.0, 0.0)  # costate of x_{k+1}
+        n_sub = self.substeps
         for k in range(len(u) - 1, -1, -1):
             if w is not None:
                 lam = tuple(a + b for a, b in zip(lam, w[k]))
-            lam, g[k] = self._sweep_adjoint(xs[k], u[k], lam)
+            steps = tape[k * n_sub : (k + 1) * n_sub]
+            lam, g[k] = self._sweep_adjoint(steps, xs[k + 1], u[k], lam)
         return np.array(g).reshape(-1, 1)
 
 
 def pendulum_model(T: float = 0.05, substeps: int = 20) -> PendulumModel:
     return PendulumModel(T=T, substeps=substeps)
-
-
-def pendulum_stage_cost(x, u, T: float = 0.05, substeps: int = 20) -> float:
-    """Integral of the pendulum running cost over one control period."""
-    return PendulumModel(T=T, substeps=substeps).stage_cost(np.asarray(x, dtype=float), np.atleast_1d(u))
-
-
-def integrate_sampled(
-    field: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    u: np.ndarray,
-    T: float,
-    substeps: int = 20,
-) -> np.ndarray:
-    """Fixed-step RK4 over one control period for a generic vector field.
-
-    Raises :class:`DivergenceError` if the final state is non-finite or
-    leaves the admissible norm ball.
-    """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    x = np.asarray(x, dtype=float).copy()
-    u = np.asarray(u, dtype=float)
-    h = float(T) / substeps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(substeps):
-            k1 = np.asarray(field(x, u), dtype=float)
-            k2 = np.asarray(field(x + 0.5 * h * k1, u), dtype=float)
-            k3 = np.asarray(field(x + 0.5 * h * k2, u), dtype=float)
-            k4 = np.asarray(field(x + h * k3, u), dtype=float)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError("integration produced a non-finite state")
-    if float(np.max(np.abs(x))) > DIVERGENCE_NORM:
-        raise DivergenceError(f"state norm exceeded {DIVERGENCE_NORM:g}")
-    return x
 
 
 MODEL_NAMES = ("lq-scalar", "lq-double-integrator", "pendulum")

@@ -1,14 +1,27 @@
-"""Finite-horizon optimal control by direct single shooting.
+"""Finite-horizon optimal control: exact for LQ plants, direct shooting otherwise.
 
-The N-step open-loop problem is reduced to an unconstrained (or box-
-constrained) program in the stacked control vector and handed to a
-quasi-Newton method (L-BFGS-B).  Each objective evaluation is one model
-rollout followed by one reverse pass through it (the model's discrete
-adjoint, ``SystemModel.cost_gradient``), so value and exact gradient come
-together at the cost of about two rollouts, whatever the horizon.  Two
-details matter for certification work:
+``solve_finite_horizon`` is the one entry point; it picks the route from
+the model's type and bounds alone.
 
-* the objective is normalized by its value at the initial guess, so the
+* **Riccati route.**  An ``LqScalarModel`` or ``LqModel`` with no control
+  and no state bounds has the N-step optimum in closed form: the backward
+  Riccati recursion (:mod:`mpccert.sim.lq`) gives the gains K_1..K_N, and
+  rolling u_k = -K_{N-k} x_k forward is the optimal control sequence.  One
+  O(N) pass, no iterations, and V_N exact to round-off at every horizon
+  and every |x0|, which single shooting on an unstable plant cannot give
+  (its conditioning grows like the open-loop gain to the power 2N).
+* **Quasi-Newton route.**  Every other problem is reduced to a program in
+  the stacked control vector and handed to L-BFGS-B.  Each objective
+  evaluation is one model rollout followed by one reverse pass through it
+  (the model's discrete adjoint, ``SystemModel.cost_gradient``), so value
+  and exact gradient come together at the cost of about two rollouts,
+  whatever the horizon.
+
+Both routes return the same ``ShootingSolution``, with ``grad_norm`` taken
+from one rollout and one reverse pass at the returned controls.  Two
+details of the quasi-Newton route matter for certification work:
+
+* the objective is normalized by the one-step cost at x0, so the
   optimizer's relative termination tests keep working as the closed loop
   contracts toward the target and absolute cost values fall by many orders
   of magnitude;
@@ -24,7 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import SystemModel
+from .lq import _scalar_recursion, riccati_gains
+from .models import LqModel, LqScalarModel, SystemModel
 
 __all__ = [
     "ShootingProblem",
@@ -42,6 +56,8 @@ class ShootingProblem:
 
     ``guess`` is an (N, control_dim) warm start; ``None`` means start from
     the zero sequence.  ``options`` may override maxiter / ftol / gtol.
+    Both are read by the quasi-Newton route only; the Riccati route needs
+    neither, but rejects unknown options all the same.
     """
 
     model: SystemModel
@@ -72,7 +88,7 @@ class ShootingSolution:
     converged: bool
     iterations: int
     message: str
-    nfev: int  # objective evaluations, each one rollout and one reverse pass
+    nfev: int  # objective evaluations, each one rollout and one reverse pass (1 on the Riccati route)
     # inf-norm of the projected gradient of the normalized objective at
     # `controls` (the controls are not normalized, so for quadratic costs it
     # grows like 1 / |x0| as x0 shrinks)
@@ -89,7 +105,8 @@ def _evaluate(model: SystemModel, x0: np.ndarray, controls: np.ndarray):
     floating-point range gives ``_BARRIER`` and a zero gradient, a wall
     the line search backs away from.
     """
-    states, costs = model.rollout(x0, controls)
+    tape: list = []
+    states, costs = model.rollout(x0, controls, tape)
     total = float(np.sum(costs))
     if not math.isfinite(total):
         return states, costs, _BARRIER, np.zeros_like(controls)
@@ -104,11 +121,91 @@ def _evaluate(model: SystemModel, x0: np.ndarray, controls: np.ndarray):
                 seeds += d
         total += model.state_penalty * violation
         seeds *= 2.0 * model.state_penalty
-    return states, costs, total, model.cost_gradient(states, controls, seeds)
+    return states, costs, total, model.cost_gradient(states, controls, seeds, tape)
 
 
 def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     """Minimize the N-step cost from ``problem.x0`` over the control sequence.
+
+    Unbounded LQ plants take the exact Riccati route; everything else
+    takes the quasi-Newton route (see the module docstring).
+    """
+    model = problem.model
+    exact = isinstance(model, (LqScalarModel, LqModel)) and all(
+        b is None for b in (model.u_lower, model.u_upper, model.x_lower, model.x_upper)
+    )
+    return _solve_riccati(problem) if exact else _solve_quasi_newton(problem)
+
+
+def _solver_options(problem: ShootingProblem) -> dict:
+    opts = {"maxiter": 400, "ftol": 1e-12, "gtol": 1e-9}
+    unknown = set(problem.options) - set(opts)
+    if unknown:
+        raise ValueError(f"unknown solver options: {sorted(unknown)}")
+    opts.update(problem.options)
+    return opts
+
+
+def _objective_scale(model: SystemModel, x0: np.ndarray, guess: np.ndarray) -> float:
+    """Normalization of the objective: the one-step cost at x0.
+
+    It is within a bounded factor of the optimal value (never the
+    4^N-fold overestimate a cold guess can give), and it follows the
+    closed loop's decay toward the target exactly — keeping V_N accuracy
+    relative as absolute costs fall through many orders of magnitude.  At
+    the target the cost is identically zero; fall back to the guess's
+    objective there, and to 1 if that vanishes too.
+    """
+    try:
+        f0 = float(model.stage_cost(x0, model.u_star))
+    except (OverflowError, ValueError, FloatingPointError):
+        f0 = math.inf
+    if not (math.isfinite(f0) and f0 > 1e-30):
+        f0 = _evaluate(model, x0, guess)[2]
+    return f0 if (math.isfinite(f0) and f0 > 1e-30) else 1.0
+
+
+def _solve_riccati(problem: ShootingProblem) -> ShootingSolution:
+    """Exact solve of an unbounded LQ problem: roll the Riccati feedback forward."""
+    _solver_options(problem)  # unknown options are an error on either route
+    model = problem.model
+    n = problem.horizon
+    if isinstance(model, LqScalarModel):
+        gains = _scalar_recursion(model.a, model.b, model.q, model.r, n)[1]
+        a, b = model.a, model.b
+        x = float(problem.x0[0])
+        u = []
+        for k in range(n):
+            u.append(-gains[n - 1 - k] * x)
+            x = a * x + b * u[-1]
+        controls = np.array(u).reshape(n, 1)
+    else:
+        gains = riccati_gains(model.A, model.B, model.Q, model.R, n)
+        controls = np.empty((n, model.control_dim))
+        x = problem.x0
+        for k in range(n):
+            controls[k] = -(gains[n - 1 - k] @ x)
+            x = model.f(x, controls[k])
+    states, costs, total, grad = _evaluate(model, problem.x0, controls)
+    scale = _objective_scale(model, problem.x0, np.zeros_like(controls))
+    value = float(np.sum(costs))
+    finite = math.isfinite(value)
+    return ShootingSolution(
+        controls=controls,
+        states=states,
+        stage_costs=np.asarray(costs, dtype=float),
+        value=value,
+        objective=total,
+        converged=finite,
+        iterations=0,
+        message="Riccati feedback" if finite else "Riccati feedback: rollout left the floating-point range",
+        nfev=1,
+        grad_norm=float(np.max(np.abs(grad))) / scale,
+    )
+
+
+def _solve_quasi_newton(problem: ShootingProblem) -> ShootingSolution:
+    """L-BFGS-B on the stacked controls, fed value and adjoint gradient.
 
     Convergence is declared by the quasi-Newton termination tests (projected
     gradient below gtol, or relative cost decrease below ftol on the
@@ -118,32 +215,13 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     """
     from scipy.optimize import minimize  # deferred: importing scipy dominates start-up
 
+    opts = _solver_options(problem)
     model = problem.model
     n = problem.horizon
     cdim = model.control_dim
-    opts = {"maxiter": 400, "ftol": 1e-12, "gtol": 1e-9}
-    unknown = set(problem.options) - set(opts)
-    if unknown:
-        raise ValueError(f"unknown solver options: {sorted(unknown)}")
-    opts.update(problem.options)
-
     guess = problem.guess if problem.guess is not None else np.zeros((n, cdim))
     u0 = guess.reshape(-1)
-
-    # normalize so the optimizer's relative tolerances track the problem's
-    # own scale.  The one-step cost at x0 is within a bounded factor of the
-    # optimal value (never the 4^N-fold overestimate a cold guess can give),
-    # and it follows the closed loop's decay toward the target exactly —
-    # keeping V_N accuracy relative as absolute costs fall through many
-    # orders of magnitude.  At the target the cost is identically zero;
-    # fall back to 1 there.
-    try:
-        f0 = float(model.stage_cost(problem.x0, model.u_star))
-    except (OverflowError, ValueError, FloatingPointError):
-        f0 = math.inf
-    if not (math.isfinite(f0) and f0 > 1e-30):
-        f0 = _evaluate(model, problem.x0, guess)[2]
-    scale = f0 if (math.isfinite(f0) and f0 > 1e-30) else 1.0
+    scale = _objective_scale(model, problem.x0, guess)
 
     def objective(u_flat: np.ndarray) -> tuple[float, np.ndarray]:
         _, _, total, grad = _evaluate(model, problem.x0, u_flat.reshape(n, cdim))

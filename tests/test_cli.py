@@ -179,6 +179,19 @@ class TestNetwork:
         assert rec["alpha_star"] == pytest.approx(0.0756302521, abs=1e-9)
         assert len(rec["seeds"]) == 3
 
+    def test_long_horizon_campaign_passes_its_audit(self, capsys):
+        # at N = 20 single shooting returned V_N off by up to 12x near the
+        # target, which showed up as two violations and measured alpha -1.32
+        rec = run_json(
+            capsys,
+            ["network", "--model", "lq-scalar", "--N", "20", "--m-star", "3",
+             "--p", "0.3", "--seeds", "1", "--steps", "30"],
+        )
+        assert rec["violations"] == 0
+        for seed in rec["seeds"]:
+            assert seed["violations"] == 0
+            assert seed["measured_alpha"] >= rec["alpha_star"] - 1e-6
+
     def test_falsification_probe(self, capsys):
         rec = run_json(
             capsys,
@@ -256,3 +269,18 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, mpccert, mpccert.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    # unbounded LQ plants are solved by the Riccati recursion, without the
+    # quasi-Newton solver
+    for argv in (
+        ["simulate", "--model", "lq-scalar", "--N", "6", "--m", "2", "--steps", "4"],
+        ["network", "--model", "lq-scalar", "--N", "6", "--m-star", "2", "--p", "0.3",
+         "--seeds", "1", "--steps", "4"],
+    ):
+        code = (
+            "import sys, io, contextlib, mpccert.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = mpccert.cli.main({argv!r})\n"
+            "print(status, 'scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 False", argv

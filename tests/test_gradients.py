@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mpccert.sim import LqModel, lq_double_integrator, lq_scalar, pendulum_model
+from conftest import nonsymmetric_lq
+from mpccert.sim import lq_double_integrator, lq_scalar, pendulum_model
 from mpccert.sim.models import _SGN_EPS
 from mpccert.sim.shooting import _BARRIER, _evaluate
 
@@ -35,15 +36,6 @@ def seeded_cost(model, x0, seeds):
         return float(np.sum(costs) + np.sum(seeds * states[1:]))
 
     return f
-
-
-def nonsymmetric_lq() -> LqModel:
-    # two inputs and non-symmetric weights: d(x'Qx)/dx = (Q + Q')x
-    A = [[1.1, 0.2, 0.0], [0.0, 0.9, 0.3], [0.1, 0.0, 1.0]]
-    B = [[1.0, 0.0], [0.5, 0.2], [0.0, 1.0]]
-    Q = [[2.0, 0.5, 0.0], [-0.3, 1.0, 0.2], [0.0, 0.4, 1.5]]
-    R = [[1.0, 0.3], [-0.1, 2.0]]
-    return LqModel(A, B, Q, R, name="lq-3x2")
 
 
 LQ_CASES = [
@@ -103,6 +95,28 @@ class TestPendulumAdjoint:
                 model.cost_gradient(states, u, seeds),
                 central_difference(seeded_cost(model, x0, seeds), u, 1e-3),
             )
+
+    def test_reverse_pass_reads_the_forward_tape(self):
+        # the rollout records each period's RK4 stages once; the reverse pass
+        # reads them instead of integrating again, with identical results
+        model = pendulum_model()
+        x0 = np.array([math.pi + 1.4, 0.0, 0.0, 0.0])
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=(6, 1))
+        seeds = rng.normal(size=(6, 4))
+        tape: list = []
+        states, costs = model.rollout(x0, u, tape)
+        plain_states, plain_costs = model.rollout(x0, u)
+        np.testing.assert_array_equal(states, plain_states)
+        np.testing.assert_array_equal(costs, plain_costs)
+        assert len(tape) == 6 * model.substeps
+        recomputed = model.cost_gradient(states, u, seeds)
+        sweeps = []
+        sweep = model._sweep
+        model._sweep = lambda *args: sweeps.append(1) or sweep(*args)
+        taped = model.cost_gradient(states, u, seeds, tape)
+        assert not sweeps
+        np.testing.assert_array_equal(taped, recomputed)
 
     def test_coarse_substeps(self):
         model = pendulum_model(T=0.2, substeps=4)

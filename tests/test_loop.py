@@ -16,7 +16,9 @@ from mpccert.sim import (
     trace_to_csv,
     verify_relaxed_lyapunov,
 )
+from mpccert.sim import loop
 from mpccert.sim.loop import Schedule
+from mpccert.sim.shooting import _solve_quasi_newton
 
 
 class TestSchedules:
@@ -138,11 +140,22 @@ class TestMpcRun:
         with pytest.raises(DivergenceError, match="startup"):
             mpc_run(model, 4, constant_schedule(1, 2), np.array([1.0]), 2, startup=1)
 
-    def test_updates_carry_solver_diagnostics(self):
+    def test_updates_carry_solver_diagnostics(self, monkeypatch):
+        # the quasi-Newton route's counters, on a plant it would not be
+        # chosen for, so they can be checked against an exact optimum
+        monkeypatch.setattr(loop, "solve_finite_horizon", _solve_quasi_newton)
         trace = mpc_run(lq_scalar(), 6, constant_schedule(2, 3), np.array([1.0]), 6)
         for rec in trace.updates:
             assert rec.converged
             assert rec.nfev >= rec.iterations >= 1
+            assert 0.0 <= rec.grad_norm < 1e-6
+
+    def test_updates_on_the_exact_route(self):
+        trace = mpc_run(lq_scalar(), 20, constant_schedule(2, 3), np.array([1.0]), 6)
+        assert trace.all_converged
+        for rec in trace.updates:
+            assert rec.converged
+            assert (rec.iterations, rec.nfev) == (0, 1)
             assert 0.0 <= rec.grad_norm < 1e-6
 
     def test_window_values_close_every_window(self):

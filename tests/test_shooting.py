@@ -1,10 +1,12 @@
-"""Direct shooting against the exact finite-horizon solution."""
+"""Finite-horizon solves on both routes against the exact (Riccati) solution."""
 import math
 
 import numpy as np
 import pytest
 
+from conftest import nonsymmetric_lq
 from mpccert.sim import (
+    LqModel,
     ShootingProblem,
     lq_double_integrator,
     lq_scalar,
@@ -16,7 +18,7 @@ from mpccert.sim import (
     shift_guess,
     solve_finite_horizon,
 )
-from mpccert.sim.shooting import _evaluate
+from mpccert.sim.shooting import _evaluate, _solve_quasi_newton
 
 
 class TestRiccatiRecursion:
@@ -86,7 +88,7 @@ class TestScalarShooting:
         # closed loop contracts: solve from a state twelve orders down
         model = lq_scalar()
         x0 = np.array([1e-12])
-        sol = solve_finite_horizon(ShootingProblem(model, 6, x0))
+        sol = _solve_quasi_newton(ShootingProblem(model, 6, x0))
         expect = riccati_value(model, 6, x0)
         assert sol.value == pytest.approx(expect, rel=1e-6)
 
@@ -97,7 +99,7 @@ class TestScalarShooting:
         for n in range(2, 16):
             for x in (1.0, -0.7, 2.5, 1e-3):
                 x0 = np.array([x])
-                sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+                sol = _solve_quasi_newton(ShootingProblem(model, n, x0))
                 assert sol.converged, (n, x)
                 assert sol.value == pytest.approx(riccati_value(model, n, x0), rel=1e-9), (n, x)
 
@@ -106,7 +108,7 @@ class TestScalarShooting:
         # controls; the normalization is the one-step cost at x0
         model = lq_scalar()
         x0 = np.array([2.0])
-        sol = solve_finite_horizon(ShootingProblem(model, 8, x0))
+        sol = _solve_quasi_newton(ShootingProblem(model, 8, x0))
         _, _, _, grad = _evaluate(model, x0, sol.controls)
         scale = model.stage_cost(x0, model.u_star)
         assert sol.grad_norm == pytest.approx(float(np.max(np.abs(grad))) / scale, rel=1e-12)
@@ -137,8 +139,8 @@ class TestScalarShooting:
     def test_warm_start_is_honored(self):
         model = lq_scalar()
         x0 = np.array([1.0])
-        cold = solve_finite_horizon(ShootingProblem(model, 8, x0))
-        warm = solve_finite_horizon(ShootingProblem(model, 8, x0, guess=cold.controls))
+        cold = _solve_quasi_newton(ShootingProblem(model, 8, x0))
+        warm = _solve_quasi_newton(ShootingProblem(model, 8, x0, guess=cold.controls))
         assert warm.value == pytest.approx(cold.value, rel=1e-9)
         assert warm.iterations <= cold.iterations
 
@@ -153,6 +155,107 @@ class TestMatrixShooting:
             sol = solve_finite_horizon(ShootingProblem(model, n, x0))
             expect = riccati_value(model, n, x0)
             assert sol.value == pytest.approx(expect, rel=1e-6, abs=1e-9)
+
+
+def weights(model):
+    """(A, B, Q, R) of an LQ model as matrices."""
+    if isinstance(model, LqModel):
+        return model.A, model.B, model.Q, model.R
+    return [[model.a]], [[model.b]], [[model.q]], [[model.r]]
+
+
+def assert_exact_route(sol) -> None:
+    assert sol.converged
+    assert sol.iterations == 0
+    assert sol.nfev == 1
+
+
+class TestRiccatiRoute:
+    """Unbounded LQ plants are solved by rolling the Riccati feedback forward."""
+
+    def test_scalar_value_is_exact_through_N60(self):
+        # the quasi-Newton route drifts from N = 16 on (1e-5 .. 2e-2 relative)
+        model = lq_scalar()
+        for n in range(2, 61):
+            for x in (1.0, -0.7, 2.5, 1e-3, 1e-12):
+                x0 = np.array([x])
+                sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+                assert_exact_route(sol)
+                assert sol.value == pytest.approx(riccati_value(model, n, x0), rel=1e-12), (n, x)
+
+    def test_double_integrator_value_is_exact(self):
+        model = lq_double_integrator()
+        for n in (10, 50):
+            for x0 in ([1.0, 0.0], [0.0, 1.0], [-2.0, 0.5]):
+                x0 = np.array(x0)
+                sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+                assert_exact_route(sol)
+                assert sol.value == pytest.approx(riccati_value(model, n, x0), rel=1e-12), (n, x0)
+
+    @pytest.mark.parametrize("make, x0", [(lq_scalar, [2.0]), (lq_double_integrator, [-1.5, 0.7])])
+    def test_controls_are_the_riccati_feedback_and_the_quasi_newton_optimum(self, make, x0):
+        model = make()
+        x0 = np.array(x0)
+        for n in range(2, 11):
+            sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+            gains = riccati_gains(*weights(model), n)
+            np.testing.assert_array_equal(sol.states[0], x0)
+            for k in range(n):
+                # u_k = -K_{N-k} x_k along the returned trajectory
+                x = sol.states[k]
+                np.testing.assert_allclose(sol.controls[k], -(gains[n - 1 - k] @ x), rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(sol.states[k + 1], model.f(x, sol.controls[k]), rtol=1e-15)
+            qn = _solve_quasi_newton(ShootingProblem(model, n, x0))
+            assert qn.iterations >= 1
+            np.testing.assert_allclose(sol.controls, qn.controls, rtol=0, atol=1e-6)
+
+    def test_nonsymmetric_weights_give_the_same_value_on_both_routes(self):
+        model = nonsymmetric_lq()
+        x0 = np.array([1.0, -0.5, 0.25])
+        for n in (2, 5, 8):
+            sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+            assert_exact_route(sol)
+            qn = _solve_quasi_newton(ShootingProblem(model, n, x0))
+            assert qn.converged and qn.iterations >= 1
+            assert sol.value == pytest.approx(qn.value, rel=1e-9)
+            assert sol.value == pytest.approx(riccati_value(model, n, x0), rel=1e-12)
+            assert sol.value <= qn.value * (1.0 + 1e-12)
+
+    def test_diagnostics(self):
+        # one rollout and one reverse pass at the returned controls; the
+        # normalized gradient vanishes there, and the warm start is unused
+        model = lq_scalar()
+        x0 = np.array([2.0])
+        sol = solve_finite_horizon(ShootingProblem(model, 8, x0))
+        assert_exact_route(sol)
+        _, _, objective, grad = _evaluate(model, x0, sol.controls)
+        scale = model.stage_cost(x0, model.u_star)
+        assert sol.grad_norm == pytest.approx(float(np.max(np.abs(grad))) / scale, rel=1e-12)
+        assert sol.grad_norm < 1e-12
+        assert sol.objective == objective == sol.value
+        warm = solve_finite_horizon(ShootingProblem(model, 8, x0, guess=np.ones((8, 1))))
+        np.testing.assert_array_equal(warm.controls, sol.controls)
+
+    def test_overflowing_rollout_is_not_converged(self):
+        sol = solve_finite_horizon(ShootingProblem(lq_scalar(), 4, np.array([1e200])))
+        assert sol.iterations == 0 and sol.nfev == 1
+        assert not sol.converged
+        assert math.isinf(sol.value)
+
+    def test_bounds_select_the_quasi_newton_route(self):
+        # control bounds on the scalar plant, a state box on the double
+        # integrator: the feedback law would ignore both
+        scalar = lq_scalar()
+        scalar.u_lower = np.array([-0.5])
+        boxed = lq_double_integrator()
+        boxed.x_upper = np.array([np.inf, 1e-3])
+        for model, x0 in ((scalar, [2.0]), (boxed, [-1.0, 0.0])):
+            x0 = np.array(x0)
+            sol = solve_finite_horizon(ShootingProblem(model, 4, x0))
+            assert sol.iterations >= 1 and sol.nfev >= 2
+            qn = _solve_quasi_newton(ShootingProblem(model, 4, x0))
+            np.testing.assert_array_equal(sol.controls, qn.controls)
+        assert sol.value > riccati_value(boxed, 4, x0)  # the box binds
 
 
 class TestPendulumShooting:
@@ -171,10 +274,14 @@ class TestPendulumShooting:
 
 class TestProblemPlumbing:
     def test_option_validation(self):
-        model = lq_scalar()
-        for bad in ({"tol": 1e-8}, {"fd_step": 1e-6}):
-            with pytest.raises(ValueError, match="unknown solver options"):
-                solve_finite_horizon(ShootingProblem(model, 4, np.array([1.0]), options=bad))
+        # on both routes: the unbounded plant is solved exactly, the bounded
+        # one by quasi-Newton iterations
+        bounded = lq_scalar()
+        bounded.u_lower = np.array([-10.0])
+        for model in (lq_scalar(), bounded):
+            for bad in ({"tol": 1e-8}, {"fd_step": 1e-6}):
+                with pytest.raises(ValueError, match="unknown solver options"):
+                    solve_finite_horizon(ShootingProblem(model, 4, np.array([1.0]), options=bad))
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):

@@ -6,15 +6,50 @@ import pytest
 
 from mpccert.sim import (
     DivergenceError,
+    LqModel,
     MODEL_NAMES,
-    integrate_sampled,
     lq_double_integrator,
     lq_scalar,
     model_by_name,
     pendulum_model,
-    pendulum_stage_cost,
 )
-from mpccert.sim.models import _pendulum_rhs
+from mpccert.sim.models import DIVERGENCE_NORM, _FRICTION, _G, _LENGTH, _SGN_EPS
+
+
+def _pendulum_rhs(x1: float, x2: float, x3: float, x4: float, u: float):
+    """The pendulum's continuous-time right-hand side, written out once more
+    as the oracle for the inlined sweep; the angle is measured from upright."""
+    s = math.sin(x1 + math.pi)
+    c = math.cos(x1 + math.pi)
+    sgn = 1.0 if x2 > _SGN_EPS else (-1.0 if x2 < -_SGN_EPS else 0.0)
+    acc = -(_G / _LENGTH) * s - (_FRICTION / _LENGTH) * x2 * abs(x2) - u * c - _FRICTION * sgn
+    return x2, acc, x4, u
+
+
+def integrate_sampled(field, x: np.ndarray, u: np.ndarray, T: float, substeps: int = 20) -> np.ndarray:
+    """Textbook fixed-step RK4 over one control period for a generic vector
+    field, the oracle for the models' inlined integrators.
+
+    Raises :class:`DivergenceError` if the final state is non-finite or
+    leaves the admissible norm ball.
+    """
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    x = np.asarray(x, dtype=float).copy()
+    u = np.asarray(u, dtype=float)
+    h = float(T) / substeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(substeps):
+            k1 = np.asarray(field(x, u), dtype=float)
+            k2 = np.asarray(field(x + 0.5 * h * k1, u), dtype=float)
+            k3 = np.asarray(field(x + 0.5 * h * k2, u), dtype=float)
+            k4 = np.asarray(field(x + h * k3, u), dtype=float)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError("integration produced a non-finite state")
+    if float(np.max(np.abs(x))) > DIVERGENCE_NORM:
+        raise DivergenceError(f"state norm exceeded {DIVERGENCE_NORM:g}")
+    return x
 
 
 class TestLqScalar:
@@ -86,6 +121,28 @@ class TestLqMatrix:
         np.testing.assert_allclose(states[-1], x, rtol=1e-14)
 
 
+    def test_weight_validation(self):
+        A, B = [[1.0, 0.1], [0.0, 1.0]], [[0.0], [0.1]]
+        # weights enter through their symmetric parts: a skew part is harmless
+        LqModel(A, B, [[1.0, 3.0], [-3.0, 1.0]], [[1.0]])
+        LqModel(A, B, [[1.0, 1.0], [1.0, 1.0]], [[1.0]])  # singular Q is allowed
+        LqModel(A, B, np.zeros((2, 2)), [[1.0]])
+        for Q, R in (
+            ([[1.0, 0.0], [0.0, -1e-3]], [[1.0]]),  # indefinite Q
+            ([[1.0, 2.0], [2.0, 1.0]], [[1.0]]),
+            (np.eye(2), [[0.0]]),  # singular R
+            (np.eye(2), [[-1.0]]),
+            (np.eye(2), [[np.nan]]),
+            (np.eye(3), [[1.0]]),  # shapes that do not fit
+            (np.eye(2), np.eye(2)),
+        ):
+            with pytest.raises(ValueError):
+                LqModel(A, B, Q, R)
+        two_inputs = np.eye(2)
+        with pytest.raises(ValueError, match="positive definite"):
+            LqModel(A, two_inputs, np.eye(2), [[1.0, 2.0], [2.0, 1.0]])
+
+
 class TestPendulum:
     def test_target_is_an_exact_fixed_point(self):
         m = pendulum_model()
@@ -113,7 +170,7 @@ class TestPendulum:
         # at the hanging equilibrium with u = 0 the running cost is the
         # constant (2 * ((1 - cos pi) * 2)^2)^2 = 1024, so the Simpson
         # integral over one period T = 0.05 is 51.2
-        c = pendulum_stage_cost([math.pi, 0.0, 0.0, 0.0], 0.0)
+        c = pendulum_model().stage_cost(np.array([math.pi, 0.0, 0.0, 0.0]), np.array([0.0]))
         assert c == pytest.approx(51.2, rel=1e-12)
 
     def test_inlined_sweep_matches_generic_integrator(self):
