@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from ._output import fmt12, write_csv
-from .certificate import CLOSED_FORM, CertificateQuery, _alpha_profile, certificate
+from .certificate import CLOSED_FORM, LINEAR_PROGRAM, _alpha_lp_profile, _alpha_profile
 from .controllability import GammaSequence, constant_gamma, gamma_from_exponential
 
 __all__ = [
@@ -249,16 +249,13 @@ def stability_region(
 def alpha_profile_m(gamma: GammaSequence, horizon: int, method: str = CLOSED_FORM) -> list[tuple[int, float]]:
     """The index as a function of the control horizon m = 1..N-1.
 
-    The closed form comes from one kernel call; the exact route
-    ("linear_program") solves one program per m.
+    Either route ("closed_form" or the exact "linear_program") is one
+    kernel call for the whole profile.
     """
-    gamma = gamma.truncated(horizon)
-    if method == CLOSED_FORM:
-        return list(enumerate(_alpha_profile(gamma.values).tolist(), start=1))
-    return [
-        (m, certificate(CertificateQuery(gamma, horizon, m), method).alpha)
-        for m in range(1, horizon)
-    ]
+    kernels = {CLOSED_FORM: _alpha_profile, LINEAR_PROGRAM: _alpha_lp_profile}
+    if method not in kernels:
+        raise ValueError(f"unknown method {method!r}")
+    return list(enumerate(kernels[method](gamma.truncated(horizon).values).tolist(), start=1))
 
 
 def region_to_csv(grid: RegionGrid, path: Union[str, Path], config_line: str | None = None) -> None:

@@ -11,15 +11,48 @@ for every alpha up to the index computed here.  alpha >= 0 certifies
 asymptotic stability, and for alpha > 0 the closed-loop cost is at most
 1/alpha times the infinite-horizon optimum.
 
-Two routes are provided:
+Both routes share the suffix ratios
 
-* :func:`alpha_closed_form` — a product/telescope formula, evaluated in a
-  log-exp form that is safe for horizons in the hundreds.  It is a lower
-  bound in general and exact when the first differences of gamma are
-  submultiplicative.  One kernel gives the whole profile over m in O(N);
-  every closed-form caller in the package reads from it.
-* :func:`alpha_lp` — the exact worst-case index as the value of a small
-  linear program over all stage-cost profiles consistent with the bounds.
+    ratio(lo..N) = A / (P - A),   A = prod_{i=lo}^{N} (gamma_i - 1),
+                                  P = prod_{i=lo}^{N} gamma_i,
+
+and each gives the whole profile over m = 1..N-1 from one O(N) kernel:
+
+* :func:`alpha_closed_form` — the product formula
+  alpha = 1 - ratio(m+1..N) * ratio(N-m+1..N), a lower bound in general
+  and exact when the first differences of gamma are submultiplicative.
+* :func:`alpha_lp` — the exact worst-case index: the optimum of the linear
+  program of :func:`build_lp` over all stage-cost profiles lambda_0..
+  lambda_{N-1} consistent with the bounds, and the value nu after m moves.
+
+The program is solved in closed form.  With the suffix sums
+r_k = lambda_k + ... + lambda_{N-1}, r_N = 0:
+
+* tail row k becomes  r_{k+1} <= (1 - 1/gamma_{N-k}) r_k;
+* the normalization becomes r_0 = 1 + r_m, the objective 1 + r_m - nu;
+* continuation row j becomes
+  nu - r_m <= (gamma_{N-j} - 1) r_{m+j} - gamma_{N-j} r_{m+j+1}.
+
+The executed prefix (tail rows k < m) thus only caps r_m, at
+prod_{k<m} (1 - 1/gamma_{N-k}) (1 + r_m), i.e. r_m <= ratio(N-m+1..N).
+What remains is a positively homogeneous max-min over the chain
+r_m, ..., r_N: the largest w = nu - r_m per unit r_m.  Going backward,
+the last continuation row alone gives v = gamma_{m+1} - 1, and each
+earlier row j = N-m-2, ..., 0 balances its own bound, decreasing in
+t = r_{m+j+1} / r_{m+j}, against t * v, increasing in t, under the tail
+cap t <= 1 - 1/gamma_{N-m-j}:
+
+    v <- v * min((gamma_{N-j} - 1) / (gamma_{N-j} + v), 1 - 1/gamma_{N-m-j}).
+
+Every factor is nonnegative, so v >= 0, the objective 1 - v * r_m is
+least at the largest r_m, and
+
+    alpha_LP = 1 - v * ratio(N-m+1..N),
+
+beside the closed form's 1 - ratio(m+1..N) * ratio(N-m+1..N).  A
+gamma_i = 1 makes a factor 0 and alpha = 1, as in the closed form.  The
+general-purpose :func:`solve_lp` (HiGHS, imported on first use) is kept
+as an independent check of the recursion; no certificate calls it.
 """
 from __future__ import annotations
 
@@ -123,27 +156,66 @@ class CertificateResult:
         }
 
 
-def _alpha_profile(gamma) -> np.ndarray:
-    """Closed-form alpha(N, m) for m = 1..N-1 from gamma_1..gamma_N.
+def _suffix_ratios(g: np.ndarray) -> np.ndarray:
+    """ratio(k+2..N) = A / (P - A) at index k, for gamma_2..gamma_N on the last axis.
 
-    The index ranges {m+1..N} and {N-m+1..N} are both suffixes ending at N,
-    so one suffix sum of log(gamma_i / (gamma_i - 1)) over i = 2..N gives
-    every ratio A / (P - A) = 1 / expm1(sum) at once (A = prod(gamma_i - 1),
-    P = prod(gamma_i)).  Horizons of several hundred cannot overflow; any
+    One suffix sum of log(gamma_i / (gamma_i - 1)) gives every ratio as
+    1 / expm1(sum), so horizons of several hundred cannot overflow; any
     gamma_i == 1 in a range makes its sum infinite and the ratio exactly 0,
     a sum beyond the exp range gives a clean 0, and the single-index range
     {N} is taken exactly as gamma_N - 1.
-
-    The bounds lie on the last axis and leading axes broadcast: an array of
-    shape (rows, N) gives (rows, N - 1).
     """
-    g = np.asarray(gamma, dtype=float)[..., 1:]
     with np.errstate(divide="ignore", over="ignore"):
         s = np.cumsum(np.log1p(1.0 / (g - 1.0))[..., ::-1], axis=-1)[..., ::-1]
         ratio = np.where(s > _EXP_OVERFLOW, 0.0, 1.0 / np.expm1(s))
     ratio[..., -1] = g[..., -1] - 1.0  # exact: (g-1) / (g - (g-1))
+    return ratio
+
+
+def _alpha_profile(gamma) -> np.ndarray:
+    """Closed-form alpha(N, m) for m = 1..N-1 from gamma_1..gamma_N.
+
+    The index ranges {m+1..N} and {N-m+1..N} are both suffixes ending at N,
+    so one array of suffix ratios serves both.  The bounds lie on the last
+    axis and leading axes broadcast: an array of shape (rows, N) gives
+    (rows, N - 1).
+    """
+    ratio = _suffix_ratios(np.asarray(gamma, dtype=float)[..., 1:])
     # ratio[k] belongs to the range starting at k + 2: m + 1 and N - m + 1
     return 1.0 - ratio * ratio[..., ::-1]
+
+
+def _alpha_lp_profile(gamma) -> np.ndarray:
+    """Exact alpha(N, m) for m = 1..N-1: the worst-case program's optimum.
+
+    Runs the backward recursion of the module docstring for every m at
+    once.  At step t = 1..N-2 the chains of m = 1..N-1-t take their row
+    with gamma_{m+1+t} under the common cap 1 - 1/gamma_{t+1}, so the
+    profile costs O(N) array steps.  Leading axes broadcast as in
+    :func:`_alpha_profile`.
+    """
+    g = np.asarray(gamma, dtype=float)
+    n = g.shape[-1]
+    v = g[..., 1:] - 1.0  # the last row of each chain: gamma_{m+1} - 1
+    for t in range(1, n - 1):
+        live = v[..., : n - 1 - t]
+        row = g[..., 1 + t :]
+        cap = 1.0 - 1.0 / g[..., t, None]
+        live *= np.minimum((row - 1.0) / (row + live), cap)
+    return 1.0 - v * _suffix_ratios(g[..., 1:])[..., ::-1]
+
+
+def _certify(query: CertificateQuery, profile, method: str) -> CertificateResult:
+    """Entry m of one kernel's profile at the query's horizon, as a result."""
+    n, m = query.horizon, query.m
+    gamma = query.gamma.truncated(n)
+    return CertificateResult(
+        horizon=n,
+        m=m,
+        alpha=float(profile(gamma.values)[m - 1]),
+        method=method,
+        submultiplicative=check_submultiplicative(gamma),
+    )
 
 
 def alpha_closed_form(query: CertificateQuery) -> CertificateResult:
@@ -158,14 +230,7 @@ def alpha_closed_form(query: CertificateQuery) -> CertificateResult:
     the control horizon.  If some gamma_i == 1 inside either range the
     correction term vanishes and alpha = 1 exactly.
     """
-    n, m, gamma = query.horizon, query.m, query.gamma
-    return CertificateResult(
-        horizon=n,
-        m=m,
-        alpha=float(_alpha_profile(gamma.values[:n])[m - 1]),
-        method=CLOSED_FORM,
-        submultiplicative=check_submultiplicative(gamma.truncated(n)),
-    )
+    return _certify(query, _alpha_profile, CLOSED_FORM)
 
 
 @dataclass(frozen=True)
@@ -310,22 +375,14 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LpSolution:
 
 
 def alpha_lp(query: CertificateQuery) -> CertificateResult:
-    """Exact index as the optimum of the worst-case linear program.
+    """Exact index: the optimum of the worst-case program of :func:`build_lp`.
 
-    Always at least as large as the closed form; equal to it whenever the
-    gamma differences are submultiplicative.  Valid queries always yield a
-    feasible, bounded program, so any other solver outcome is an error.
+    The value comes from the backward recursion of the module docstring,
+    alpha = 1 - v * ratio(N-m+1..N), not from a solver, so no query can
+    fail.  Always at least as large as the closed form, and equal to it
+    whenever the gamma differences are submultiplicative.
     """
-    sol = solve_lp(build_lp(query))
-    if sol.status != "optimal":
-        raise LpError(f"worst-case program unexpectedly {sol.status} for N={query.horizon}, m={query.m}")
-    return CertificateResult(
-        horizon=query.horizon,
-        m=query.m,
-        alpha=min(sol.value, 1.0),
-        method=LINEAR_PROGRAM,
-        submultiplicative=check_submultiplicative(query.gamma.truncated(query.horizon)),
-    )
+    return _certify(query, _alpha_lp_profile, LINEAR_PROGRAM)
 
 
 def certificate(query: CertificateQuery, method: str = CLOSED_FORM) -> CertificateResult:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -179,8 +180,12 @@ def _cmd_region(args) -> int:
 def _cmd_horizon(args) -> int:
     if args.table is not None:
         lo, hi, step = args.table
+        if not all(map(math.isfinite, args.table)):
+            raise ValueError(f"table range {lo} {hi} {step} must be finite")
         if lo <= 1.0:
             raise ValueError("table range must start above M = 1")
+        if step <= 0.0:
+            raise ValueError(f"table step {step} must be positive")
         M_values, v = [], lo
         while v <= hi + 1e-12:
             M_values.append(round(v, 12))
@@ -234,6 +239,10 @@ def _default_startup(model_name: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"--m {args.m} must be >= 1")
+    if args.steps < 1:
+        raise ValueError(f"--steps {args.steps} must be >= 1")
     model = model_by_name(args.model)
     x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else model.default_x0
     startup = args.startup if args.startup is not None else _default_startup(args.model)
@@ -329,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gamma_source(p)
     p.add_argument("--N", type=int, required=True, help="prediction horizon (>= 2)")
     p.add_argument("--m", type=int, required=True, help="control horizon (1..N-1)")
-    p.add_argument("--exact", action="store_true", help="solve the worst-case LP instead of the closed form")
+    p.add_argument("--exact", action="store_true",
+                   help="exact worst-case index (the LP's optimum, by a backward recursion) instead of the closed form")
     p.add_argument("--output", type=str, help="also write the JSON record here")
     p.set_defaults(handler=_cmd_alpha)
 
@@ -341,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="index as a function of the control horizon m")
     _add_gamma_source(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true", help="exact worst-case index instead of the closed form")
     p.add_argument("--output", type=str)
     p.set_defaults(handler=_cmd_profile)
 

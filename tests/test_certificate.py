@@ -1,8 +1,8 @@
 """Certificates: closed form, exact LP, and their contracted relationship.
 
-The two routes are checked against each other and against a third,
-brute-force route (vertex enumeration of the feasible polyhedron) that
-shares no code with either.
+The two routes are checked against each other and against two routes that
+share no code with either: a general LP solver on the assembled program,
+and brute-force vertex enumeration of its feasible polyhedron.
 """
 import itertools
 import math
@@ -30,6 +30,7 @@ from mpccert import (
     solve_lp,
 )
 from mpccert.analysis import alpha_profile_m
+from mpccert.certificate import _alpha_lp_profile, _alpha_profile
 
 from conftest import random_monotone_gamma
 
@@ -197,14 +198,19 @@ class TestLpAgainstVertexEnumeration:
             (gamma_from_exponential(3.0, 2.0 / 3.0, 5), 5),
             (gamma_from_exponential(1.2, 0.5, 4), 4),  # not submultiplicative
             (gamma_from_c_sequence((1.0, 0.9, 0.5, 0.1)), 4),
+            (GammaSequence((1.0, 1.05, 1.1)), 3),  # the program beats the closed form
         ],
     )
     def test_simplex_matches_brute_force(self, gamma, horizon):
         for m in range(1, horizon):
-            lp = build_lp(CertificateQuery(gamma, horizon, m))
+            q = CertificateQuery(gamma, horizon, m)
+            lp = build_lp(q)
             sol = solve_lp(lp)
+            best = lp_vertex_minimum(lp)
             assert sol.status == "optimal"
-            assert sol.value == pytest.approx(lp_vertex_minimum(lp), abs=1e-9)
+            assert sol.value == pytest.approx(best, abs=1e-9)
+            # the backward recursion behind alpha_lp, to round-off
+            assert alpha_lp(q).alpha == pytest.approx(best, abs=1e-12)
 
     def test_solution_carries_the_optimizer(self):
         lp = build_lp(CertificateQuery(constant_gamma(2.0, 4), 4, 2))
@@ -247,24 +253,93 @@ class TestSolveLpEdgeCases:
         assert sol.status == "unbounded"
         assert sol.value is None
 
-    def test_alpha_lp_escalates_non_optimal_status(self, monkeypatch):
-        # a valid query never yields an infeasible program, so alpha_lp
-        # treats any non-optimal status as a hard error; fake the solver
-        # to reach that branch
-        import importlib
 
-        # the package re-exports a function named `certificate`, which
-        # shadows the submodule attribute; fetch the module itself
-        cert_mod = importlib.import_module("mpccert.certificate")
+def recursion_instances(seed: int, count: int, max_n: int):
+    """Seeded random monotone, exponential and gamma_1 = 1 sequences."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, max_n + 1))
+        kind = i % 3
+        if kind == 0:
+            yield random_monotone_gamma(rng, n)
+        elif kind == 1:
+            yield gamma_from_exponential(float(rng.uniform(1.0, 6.0)), float(rng.uniform(0.05, 0.95)), n)
+        else:
+            g = random_monotone_gamma(rng, n)
+            k = int(rng.integers(1, n))
+            yield GammaSequence((1.0,) * k + g.values[: n - k])
 
-        def fake_solve(lp, tol=1e-9):
-            return cert_mod.LpSolution(
-                status="infeasible", value=None, lam=None, nu=None, iterations=0
+
+class TestExactRecursion:
+    """The backward recursion behind ``alpha_lp`` against independent routes."""
+
+    def test_matches_the_lp_solver_where_it_certifies(self):
+        rng = np.random.default_rng(7)
+        certified = 0
+        for gamma in recursion_instances(seed=11, count=30, max_n=150):
+            n = gamma.n
+            for m in {1, int(rng.integers(1, n)), n - 1}:
+                q = CertificateQuery(gamma, n, m)
+                try:
+                    sol = solve_lp(build_lp(q))
+                except LpError:
+                    continue  # the solver's point failed its own gate
+                certified += 1
+                assert alpha_lp(q).alpha == pytest.approx(min(sol.value, 1.0), abs=1e-10), (n, m)
+        assert certified >= 60
+
+    def test_equals_closed_form_when_submultiplicative(self):
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 30:
+            n = int(rng.integers(2, 401))
+            C = float(rng.uniform(1.0, 6.0))
+            gamma = gamma_from_exponential(C, float(rng.uniform(0.01, 0.99)), n)
+            if not check_submultiplicative(gamma):
+                continue
+            checked += 1
+            exact, closed = _alpha_lp_profile(gamma.values), _alpha_profile(gamma.values)
+            np.testing.assert_allclose(exact, closed, rtol=1e-12, atol=0.0)
+        for M in (1.0, 1.5125, 10.0):
+            gamma = constant_gamma(M, 400)
+            np.testing.assert_allclose(
+                _alpha_lp_profile(gamma.values), _alpha_profile(gamma.values), rtol=1e-12, atol=0.0
             )
 
-        monkeypatch.setattr(cert_mod, "solve_lp", fake_solve)
-        with pytest.raises(LpError, match="infeasible"):
-            cert_mod.alpha_lp(CertificateQuery(constant_gamma(2.0, 3), 3, 1))
+    def test_never_below_closed_form(self):
+        for gamma in recursion_instances(seed=5, count=60, max_n=400):
+            exact, closed = _alpha_lp_profile(gamma.values), _alpha_profile(gamma.values)
+            assert np.all(exact >= closed - 1e-12)
+            assert np.all(exact <= 1.0)
+
+    def test_profile_reads_the_same_kernel(self):
+        for gamma in recursion_instances(seed=9, count=6, max_n=40):
+            n = gamma.n
+            profile = alpha_profile_m(gamma, n, "linear_program")
+            assert profile == [(m, alpha_lp(CertificateQuery(gamma, n, m)).alpha) for m in range(1, n)]
+
+    def test_rows_broadcast(self):
+        rows = [gamma_from_exponential(3.0, 0.5, 30).values, constant_gamma(4.0, 30).values]
+        batch = _alpha_lp_profile(np.array(rows))
+        for got, values in zip(batch, rows):
+            assert np.array_equal(got, _alpha_lp_profile(values))
+
+    @pytest.mark.parametrize("n", [200, 400])
+    @pytest.mark.parametrize(
+        "gamma_of", [lambda n: gamma_from_exponential(3.0, 2.0 / 3.0, n), lambda n: constant_gamma(10.0, n),
+                     lambda n: gamma_from_exponential(1.5, 0.9, n)],
+    )
+    def test_long_horizons(self, n, gamma_of):
+        # the solver's point failed its feasibility gate on all of these
+        gamma = gamma_of(n)
+        for m in (1, n // 4, n // 2):
+            q = CertificateQuery(gamma, n, m)
+            res = alpha_lp(q)
+            cf = alpha_closed_form(q).alpha
+            assert res.method == "linear_program"
+            assert cf - 1e-12 <= res.alpha <= 1.0
+            if res.submultiplicative:
+                assert res.alpha == pytest.approx(cf, abs=1e-12)
 
 
 class TestTwoRouteAgreement:

@@ -36,6 +36,13 @@ class TestAlpha:
         assert rec["alpha"] == pytest.approx(0.36, abs=1e-9)
         assert rec["submultiplicative"] is True
 
+    def test_exact_route_on_an_ordinary_constant_bound(self, capsys):
+        # a HiGHS solve of this program used to fail its feasibility gate
+        rec = run_json(capsys, ["alpha", "--M", "1.5125", "--N", "20", "--m", "5", "--exact"])
+        assert rec["method"] == "linear_program"
+        closed = run_json(capsys, ["alpha", "--M", "1.5125", "--N", "20", "--m", "5"])
+        assert rec["alpha"] == pytest.approx(closed["alpha"], abs=1e-12)
+
     def test_unstable_result_is_not_an_error(self, capsys):
         rec = run_json(capsys, ["alpha", "--M", "3", "--N", "3", "--m", "1"])
         assert rec["stable"] is False
@@ -138,6 +145,32 @@ class TestProfileRegionHorizon:
         assert lines[1] == "M,N_hat_m1,N_hat_half,bound_m1,bound_half"
         assert len(lines) == 5  # config + header + M in {2,3,4}
 
+    def test_horizon_table_rejects_endless_or_empty_ranges(self, tmp_path):
+        # a non-positive step used to loop forever, growing without bound,
+        # and a non-finite bound to write 0 rows; run in a child with a time
+        # and an address-space limit so a regression cannot hang the suite
+        cases = [
+            ["2", "4", "0"],
+            ["2", "4", "-1"],
+            ["nan", "4", "1"],
+            ["2", "inf", "1"],
+            ["2", "4", "nan"],
+        ]
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "import mpccert.cli\n"
+            f"for table in {cases!r}:\n"
+            f"    print(mpccert.cli.main(['horizon', '--table', *table, '--output', {str(tmp_path / 't.csv')!r}]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                             text=True, check=True, timeout=30)
+        assert out.stdout.split() == ["1"] * len(cases)
+        errors = out.stderr.strip().splitlines()
+        assert len(errors) == len(cases)
+        assert all(e.startswith("error: table ") for e in errors), errors
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestSimulate:
     def test_lq_run_with_trace(self, capsys, tmp_path):
@@ -166,6 +199,16 @@ class TestSimulate:
         assert rec["config"]["x0"] == [2.0]
         # V_5(2) = 4 p_5 with p_5 = 4.230769... from the cost-to-go recursion
         assert rec["value_initial"] == pytest.approx(4.0 * 4.230769230769, rel=1e-6)
+
+
+    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--m", "-1"), ("--steps", "0")])
+    def test_nonpositive_counts_are_rejected(self, capsys, flag, value):
+        argv = {"--m": "2", "--steps": "4"}
+        argv[flag] = value
+        cmd = ["simulate", "--model", "lq-scalar", "--N", "6"]
+        assert main(cmd + [tok for kv in argv.items() for tok in kv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {value} must be >= 1"), err
 
 
 class TestNetwork:
@@ -262,13 +305,34 @@ class TestArgumentHandling:
         assert not (tmp_path / "elsewhere").exists()
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the exact route and the solvers on first use only
+def _child_env() -> dict:
     src = str(Path(mpccert.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_in_child(argv, module: str) -> str:
+    """Exit status of ``main(argv)`` in a fresh interpreter, and whether it left ``module`` loaded."""
+    code = (
+        "import sys, io, contextlib, mpccert.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = mpccert.cli.main({argv!r})\n"
+        f"print(status, {module!r} in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the shooting solver on first use only
     code = "import sys, mpccert, mpccert.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    # the exact index is a closed-form recursion, with no LP solver
+    for argv in (
+        ["alpha", "--M", "3", "--N", "4", "--m", "2", "--exact"],
+        ["profile", "--C", "3", "--sigma", "0.5", "--N", "12", "--exact"],
+    ):
+        assert _run_in_child(argv, "scipy") == "0 False", argv
     # unbounded LQ plants are solved by the Riccati recursion, without the
     # quasi-Newton solver
     for argv in (
@@ -276,11 +340,4 @@ def test_import_leaves_scipy_unloaded():
         ["network", "--model", "lq-scalar", "--N", "6", "--m-star", "2", "--p", "0.3",
          "--seeds", "1", "--steps", "4"],
     ):
-        code = (
-            "import sys, io, contextlib, mpccert.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    status = mpccert.cli.main({argv!r})\n"
-            "print(status, 'scipy.optimize' in sys.modules)"
-        )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "0 False", argv
+        assert _run_in_child(argv, "scipy.optimize") == "0 False", argv
