@@ -58,6 +58,11 @@ _NETWORK_MODELS = ("lq-scalar", "lq-double-integrator")
 
 OUTDIR_ENV = "MPCCERT_OUTDIR"
 
+# largest requests accepted: a table's rows and a region's cells per axis
+# are allocated in full before any of them is computed
+_MAX_TABLE_ROWS = 10_000
+_MAX_GRID = 1_000
+
 
 def _resolve_output(path: Optional[str]) -> Optional[Path]:
     if path is None:
@@ -155,6 +160,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    if args.grid > _MAX_GRID:
+        raise ValueError(f"grid {args.grid} exceeds {_MAX_GRID} cells per axis")
     C_axis, s_axis = default_region_axes(
         (args.C_range[0], args.C_range[1]), (args.sigma_range[0], args.sigma_range[1]), args.grid
     )
@@ -186,6 +193,8 @@ def _cmd_horizon(args) -> int:
             raise ValueError("table range must start above M = 1")
         if step <= 0.0:
             raise ValueError(f"table step {step} must be positive")
+        if (hi - lo) / step >= _MAX_TABLE_ROWS:
+            raise ValueError(f"table range {lo} {hi} {step} asks for more than {_MAX_TABLE_ROWS} rows")
         M_values, v = [], lo
         while v <= hi + 1e-12:
             M_values.append(round(v, 12))

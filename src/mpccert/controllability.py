@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from ._output import fmt12, write_csv
 
 __all__ = [
@@ -33,6 +36,8 @@ __all__ = [
 ]
 
 GAMMA_CSV_HEADER = "i,gamma"
+
+_CHECK_BLOCK_CELLS = 1 << 14  # products per block of check_submultiplicative
 
 
 @dataclass(frozen=True)
@@ -185,13 +190,24 @@ def check_submultiplicative(gamma: GammaSequence) -> bool:
     holds, the closed-form index is exact (it coincides with the linear
     program); when it fails the closed form is still a valid lower bound.
     The comparison is exact — callers who need slack should pre-round.
+
+    Row a (0-based) of the comparison tests Delta_{a+1} * Delta_{b+1} <
+    Delta_{a+b+2} for every b at once, against a window of the differences
+    padded with -inf past N, so pairs beyond N never fail.  A pair with b < a
+    repeats the test of (b, a), and every pair with a <= b has a < N // 2,
+    so those rows cover all pairs.  Rows go in blocks of at most
+    ``_CHECK_BLOCK_CELLS`` products, which bounds the memory for long
+    sequences.
     """
-    d = gamma.deltas()
-    n = len(d)
-    for i in range(1, n):  # pair (i, j), 1-based, i <= j, i + j <= n
-        for j in range(i, n - i + 1):
-            if d[i - 1] * d[j - 1] < d[i + j - 1]:
-                return False
+    d = np.diff(np.asarray(gamma.values, dtype=float), prepend=1.0)
+    n = d.size
+    half = n // 2
+    targets = sliding_window_view(np.concatenate([d[1:], np.full(n, -np.inf)]), n)
+    rows = max(1, _CHECK_BLOCK_CELLS // n)
+    for a in range(0, half, rows):
+        b = min(a + rows, half)
+        if np.any(d[a:b, None] * d < targets[a:b]):
+            return False
     return True
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._output import dumps_stable
 from .certificate import _alpha_profile
 from .controllability import GammaSequence
-from .sim.loop import LyapunovAudit, dropout_schedule, mpc_run, verify_relaxed_lyapunov
+from .sim.loop import LyapunovAudit, dropout_schedule, measured_alpha, mpc_run, verify_relaxed_lyapunov
 from .sim.lq import gamma_from_riccati
 from .sim.models import LqModel, LqScalarModel, SystemModel
 
@@ -195,8 +195,6 @@ def run_network_experiment(
     the audit checks against; passing an inflated value is the supported
     way to confirm the audit reports violations when it should.
     """
-    from .sim.loop import measured_alpha  # local import keeps module init light
-
     if gamma is None:
         gamma = _default_gamma(exp.model, exp.horizon)
     cert = certify_up_to(gamma, exp.horizon, exp.m_star)

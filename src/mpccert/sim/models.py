@@ -11,15 +11,26 @@ Three concrete plants back the simulation layer:
   quartic stage cost, integrated by fixed-step RK4 with the running cost
   accumulated by composite Simpson quadrature on the same substep grid.
 
-A model exposes ``f`` (one control period), ``stage_cost``, ``step`` (both
-at once, with divergence detection), ``rollout`` (an open-loop sweep
-that never raises — bad control iterates show up as infinite cost so that
-line searches can back away from them) and ``cost_gradient`` (the discrete
-adjoint of a finite rollout: one reverse pass gives the derivative of the
-rollout cost in every control).  A caller that wants both passes hands the
-same ``tape`` list to ``rollout`` and then to ``cost_gradient``: a model
-whose reverse pass needs the forward pass's intermediates (the pendulum's
-RK4 stages) records them there once instead of recomputing them.
+Each plant supplies one control period and its discrete adjoint, on
+states and controls given as plain Python float lists:
+
+* ``_period(x, u, tape)`` returns ``(x_next, stage_cost)``; it may raise
+  OverflowError or ValueError when the arithmetic leaves the
+  floating-point range;
+* ``_period_adjoint(k, x, u, x_next, lam, tape)`` returns the adjoints of
+  ``x`` and of ``u`` of ``stage_cost + <lam, x_next>`` for period ``k`` of
+  a rollout.
+
+``SystemModel`` builds everything else on these two, once: ``f`` and
+``stage_cost`` (one period each), ``step`` (both at once, with divergence
+detection), ``rollout`` (an open-loop sweep that never raises — bad
+control iterates show up as infinite cost so that line searches can back
+away from them) and ``cost_gradient`` (the discrete adjoint of a finite
+rollout: one reverse pass gives the derivative of the rollout cost in
+every control).  A caller that wants both passes hands the same ``tape``
+list to ``rollout`` and then to ``cost_gradient``: a plant whose reverse
+pass needs the forward pass's intermediates (the pendulum's RK4 stages)
+records them there once instead of recomputing them.
 """
 from __future__ import annotations
 
@@ -49,15 +60,22 @@ class DivergenceError(RuntimeError):
     """The closed-loop state left the numerically meaningful region."""
 
 
+def _floats(v, dim: int) -> list[float]:
+    return np.asarray(v, dtype=float).reshape(dim).tolist()
+
+
 class SystemModel:
-    """Discrete-time plant x+ = f(x, u) with stage cost vanishing at the target."""
+    """Discrete-time plant x+ = f(x, u) with stage cost vanishing at the target.
+
+    A subclass supplies ``_period`` and ``_period_adjoint`` (see the module
+    docstring); the rest of the interface is built on them here.
+    """
 
     name: str = "generic"
     state_dim: int = 0
     control_dim: int = 0
 
     def __init__(self) -> None:
-        self.x_star = np.zeros(self.state_dim)
         self.u_star = np.zeros(self.control_dim)
         self.u_lower: Optional[np.ndarray] = None  # None = unconstrained
         self.u_upper: Optional[np.ndarray] = None
@@ -66,21 +84,41 @@ class SystemModel:
         self.state_penalty = 1e6  # quadratic weight on state-box violation
         self.default_x0 = np.zeros(self.state_dim)
 
-    def f(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def _period(self, x: list, u: list, tape: Optional[list]) -> tuple[list, float]:
+        """One control period: (x_next, stage cost).  ``tape``, if not None,
+        receives what ``_period_adjoint`` needs beyond x, u and x_next."""
         raise NotImplementedError
 
-    def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:
+    def _period_adjoint(
+        self, k: int, x: list, u: list, x_next: list, lam: list, tape: Optional[list]
+    ) -> tuple[list, list]:
+        """Adjoints of x and u of stage cost + <lam, x_next> for period ``k``.
+
+        ``tape`` is the list the rollout filled, or None if it kept none.
+        """
         raise NotImplementedError
+
+    def _period_at(self, x: np.ndarray, u: np.ndarray) -> tuple[list, float]:
+        return self._period(_floats(x, self.state_dim), _floats(u, self.control_dim), None)
+
+    def f(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.array(self._period_at(x, u)[0])
+
+    def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:
+        return self._period_at(x, u)[1]
 
     def step(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
         """One closed-loop move; raises :class:`DivergenceError` on blow-up."""
-        cost = self.stage_cost(x, u)
-        x_next = self.f(x, u)
-        if not (np.all(np.isfinite(x_next)) and math.isfinite(cost)):
+        x, u = _floats(x, self.state_dim), _floats(u, self.control_dim)
+        try:
+            x_next, cost = self._period(x, u, None)
+        except (OverflowError, ValueError) as exc:
+            raise DivergenceError(f"{self.name}: {exc}") from exc
+        if not (math.isfinite(cost) and all(map(math.isfinite, x_next))):
             raise DivergenceError(f"{self.name}: non-finite state or cost")
-        if float(np.max(np.abs(x_next))) > DIVERGENCE_NORM:
+        if max(map(abs, x_next)) > DIVERGENCE_NORM:
             raise DivergenceError(f"{self.name}: state norm exceeded {DIVERGENCE_NORM:g}")
-        return x_next, float(cost)
+        return np.array(x_next), cost
 
     def rollout(
         self, x0: np.ndarray, controls: np.ndarray, tape: Optional[list] = None
@@ -90,29 +128,25 @@ class SystemModel:
         Returns (states, costs) with shapes (n+1, state_dim) and (n,).  Once
         an iterate goes non-finite the remaining costs are +inf and the
         state is frozen, which the line search treats as a wall.  ``tape``
-        receives what ``cost_gradient`` needs beyond the states; models whose
-        reverse pass reads only the states, as here, leave it empty.
+        receives what ``cost_gradient`` needs beyond the states.
         """
-        controls = np.asarray(controls, dtype=float).reshape(-1, self.control_dim)
-        n = controls.shape[0]
-        states = np.empty((n + 1, self.state_dim))
-        costs = np.full(n, math.inf)
-        x = np.asarray(x0, dtype=float).reshape(self.state_dim)
-        states[0] = x
-        for k in range(n):
+        us = np.asarray(controls, dtype=float).reshape(-1, self.control_dim).tolist()
+        x = _floats(x0, self.state_dim)
+        states, costs = list(x), []  # states row after row in one flat list
+        for u in us:
             try:
-                c = self.stage_cost(x, controls[k])
-                x_next = self.f(x, controls[k])
+                x_next, c = self._period(x, u, tape)
             except (OverflowError, ValueError, FloatingPointError):
-                states[k + 1 :] = x
-                return states, costs
-            if not (np.all(np.isfinite(x_next)) and math.isfinite(c)):
-                states[k + 1 :] = x
-                return states, costs
-            costs[k] = c
+                break
+            if not (math.isfinite(c) and all(map(math.isfinite, x_next))):
+                break
             x = x_next
-            states[k + 1] = x
-        return states, costs
+            states += x
+            costs.append(c)
+        frozen = len(us) - len(costs)
+        states += x * frozen
+        costs += [math.inf] * frozen
+        return np.array(states).reshape(-1, self.state_dim), np.array(costs)
 
     def cost_gradient(
         self,
@@ -132,16 +166,26 @@ class SystemModel:
         Optimal Control*, 1975): lam_n = seeds[n-1], lam_k = d_x l_k +
         seeds[k-1] + (d_x f_k)' lam_{k+1}, read out as d_u l_k + (d_u f_k)' lam_{k+1}.
         """
-        raise NotImplementedError
+        c = self.control_dim
+        us = np.asarray(controls, dtype=float).reshape(-1, c).tolist()
+        xs = np.asarray(states, dtype=float).tolist()
+        w = None if seeds is None else np.asarray(seeds, dtype=float).reshape(-1, self.state_dim).tolist()
+        g = [0.0] * (len(us) * c)  # row after row
+        lam = [0.0] * self.state_dim  # costate of x_{k+1}
+        for k in range(len(us) - 1, -1, -1):
+            if w is not None:
+                lam = [a + b for a, b in zip(lam, w[k])]
+            lam, g[k * c : (k + 1) * c] = self._period_adjoint(k, xs[k], us[k], xs[k + 1], lam, tape)
+        return np.array(g).reshape(-1, c)
 
-    def control_bounds(self, n: int):
-        """Per-variable (low, high) pairs for an n-step control vector, or None."""
+    def control_bounds(self, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(lower, upper) arrays for an n-step control vector, infinite where
+        a side is unbounded, or None when no control is bounded."""
         if self.u_lower is None and self.u_upper is None:
             return None
         lo = np.full(self.control_dim, -np.inf) if self.u_lower is None else self.u_lower
         hi = np.full(self.control_dim, np.inf) if self.u_upper is None else self.u_upper
-        pair = [(None if math.isinf(a) else a, None if math.isinf(b) else b) for a, b in zip(lo, hi)]
-        return pair * n
+        return np.tile(np.asarray(lo, dtype=float), n), np.tile(np.asarray(hi, dtype=float), n)
 
 
 class LqScalarModel(SystemModel):
@@ -163,50 +207,12 @@ class LqScalarModel(SystemModel):
         self.a, self.b, self.q, self.r = float(a), float(b), float(q), float(r)
         self.default_x0 = np.array([1.0])
 
-    def f(self, x, u):
-        return np.array([self.a * float(x[0]) + self.b * float(u[0])])
+    def _period(self, x, u, tape):
+        x, u = x[0], u[0]
+        return [self.a * x + self.b * u], self.q * x * x + self.r * u * u
 
-    def stage_cost(self, x, u):
-        xv, uv = float(x[0]), float(u[0])
-        return self.q * xv * xv + self.r * uv * uv
-
-    def rollout(self, x0, controls, tape=None):
-        # plain-float recursion: this path runs once per objective evaluation
-        # of the shooting solver, so it is kept allocation-light
-        u = np.asarray(controls, dtype=float).reshape(-1)
-        n = u.size
-        a, b, q, r = self.a, self.b, self.q, self.r
-        x = float(np.asarray(x0).reshape(-1)[0])
-        states = np.empty((n + 1, 1))
-        costs = np.empty(n)
-        states[0, 0] = x
-        for k in range(n):
-            # plain float so overflow yields inf through Python arithmetic
-            # rather than a numpy RuntimeWarning
-            uk = float(u[k])
-            c = q * x * x + r * uk * uk
-            x_next = a * x + b * uk
-            if not (math.isfinite(c) and math.isfinite(x_next)):
-                states[k + 1 :, 0] = x
-                costs[k:] = math.inf
-                return states, costs
-            costs[k] = c
-            x = x_next
-            states[k + 1, 0] = x
-        return states, costs
-
-    def cost_gradient(self, states, controls, seeds=None, tape=None):
-        u = np.asarray(controls, dtype=float).reshape(-1).tolist()
-        x = np.asarray(states, dtype=float)[:, 0].tolist()
-        w = [0.0] * len(u) if seeds is None else np.asarray(seeds, dtype=float).reshape(-1).tolist()
-        a, b, q2, r2 = self.a, self.b, 2.0 * self.q, 2.0 * self.r
-        g = [0.0] * len(u)
-        lam = 0.0  # costate of x_{k+1}
-        for k in range(len(u) - 1, -1, -1):
-            lam += w[k]
-            g[k] = r2 * u[k] + b * lam
-            lam = q2 * x[k] + a * lam
-        return np.array(g).reshape(-1, 1)
+    def _period_adjoint(self, k, x, u, x_next, lam, tape):
+        return [2.0 * self.q * x[0] + self.a * lam[0]], [2.0 * self.r * u[0] + self.b * lam[0]]
 
 
 class LqModel(SystemModel):
@@ -242,29 +248,17 @@ class LqModel(SystemModel):
         self.default_x0 = np.zeros(self.state_dim)
         self.default_x0[0] = 1.0
 
-    def f(self, x, u):
-        return self.A @ np.asarray(x, dtype=float) + self.B @ np.asarray(u, dtype=float)
+    def _period(self, x, u, tape):
+        x, u = np.array(x), np.array(u)
+        return (self.A @ x + self.B @ u).tolist(), float(x @ self.Q @ x + u @ self.R @ u)
 
-    def stage_cost(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return float(x @ self.Q @ x + u @ self.R @ u)
-
-    def cost_gradient(self, states, controls, seeds=None, tape=None):
-        u = np.asarray(controls, dtype=float).reshape(-1, self.control_dim)
-        n = u.shape[0]
-        # stage-cost partials of every step at once; Q and R need not be symmetric
-        lx = np.asarray(states, dtype=float)[:n] @ (self.Q + self.Q.T)
-        lu = u @ (self.R + self.R.T)
-        At, Bt = self.A.T, self.B.T
-        g = np.empty_like(u)
-        lam = np.zeros(self.state_dim)  # costate of x_{k+1}
-        for k in range(n - 1, -1, -1):
-            if seeds is not None:
-                lam = lam + seeds[k]
-            g[k] = lu[k] + Bt @ lam
-            lam = lx[k] + At @ lam
-        return g
+    def _period_adjoint(self, k, x, u, x_next, lam, tape):
+        # Q and R need not be symmetric
+        lam = np.array(lam)
+        return (
+            (np.array(x) @ (self.Q + self.Q.T) + self.A.T @ lam).tolist(),
+            (np.array(u) @ (self.R + self.R.T) + self.B.T @ lam).tolist(),
+        )
 
 
 def lq_scalar() -> LqScalarModel:
@@ -320,9 +314,7 @@ class PendulumModel(SystemModel):
         self.x_upper = np.array([lim, np.inf, np.inf, np.inf])
         self.default_x0 = np.array([math.pi + 1.4, 0.0, 0.0, 0.0])
 
-    def _sweep(
-        self, x, u: float, tape: Optional[list] = None
-    ) -> tuple[tuple[float, float, float, float], float]:
+    def _sweep(self, x: list, u: float, tape: Optional[list] = None) -> tuple[list, float]:
         """Integrate one period and accumulate the cost integral in one pass.
 
         The right-hand side and running cost are inlined: this loop runs
@@ -381,11 +373,9 @@ class PendulumModel(SystemModel):
             x4 += h * u
             w = lrun(x1, x2, x3, x4)
             acc += (2.0 if i % 2 == 0 else 4.0) * w if i < n_sub else w
-        return (x1, x2, x3, x4), acc * h / 3.0
+        return [x1, x2, x3, x4], acc * h / 3.0
 
-    def _sweep_adjoint(
-        self, steps: list, end, u: float, lam
-    ) -> tuple[tuple[float, float, float, float], float]:
+    def _sweep_adjoint(self, steps: list, end: list, u: float, lam: list) -> tuple[list, float]:
         """Pull an end-of-period adjoint back through one ``_sweep``.
 
         ``steps`` is the tape that ``_sweep`` recorded for the period (one
@@ -478,69 +468,22 @@ class PendulumModel(SystemModel):
             l2 = g2 + gb2 * r2
             gu += gb2 * ru
         d1, d2, d3, d4 = dlrun(*steps[0][:4])  # Simpson endpoint at the period's start
-        return (l1 + h3 * d1, l2 + h3 * d2, l3 + h3 * d3, l4 + h3 * d4), gu
+        return [l1 + h3 * d1, l2 + h3 * d2, l3 + h3 * d3, l4 + h3 * d4], gu
 
-    def f(self, x, u):
-        xt, _ = self._sweep(tuple(float(v) for v in np.asarray(x).reshape(4)), float(np.asarray(u).reshape(1)[0]))
-        return np.array(xt)
+    def _period(self, x, u, tape):
+        # positional: perfbench/tracing.py counts periods through a wrapper
+        # of _sweep that takes positional arguments only
+        return self._sweep(x, u[0], tape)
 
-    def stage_cost(self, x, u):
-        _, c = self._sweep(tuple(float(v) for v in np.asarray(x).reshape(4)), float(np.asarray(u).reshape(1)[0]))
-        return c
-
-    def step(self, x, u):
-        try:
-            xt, c = self._sweep(
-                tuple(float(v) for v in np.asarray(x).reshape(4)), float(np.asarray(u).reshape(1)[0])
-            )
-        except (OverflowError, ValueError) as exc:
-            raise DivergenceError(f"{self.name}: {exc}") from exc
-        x_next = np.array(xt)
-        if not (np.all(np.isfinite(x_next)) and math.isfinite(c)):
-            raise DivergenceError(f"{self.name}: non-finite state or cost")
-        if float(np.max(np.abs(x_next))) > DIVERGENCE_NORM:
-            raise DivergenceError(f"{self.name}: state norm exceeded {DIVERGENCE_NORM:g}")
-        return x_next, c
-
-    def rollout(self, x0, controls, tape=None):
-        u = np.asarray(controls, dtype=float).reshape(-1)
-        n = u.size
-        states = np.empty((n + 1, 4))
-        costs = np.full(n, math.inf)
-        x = tuple(float(v) for v in np.asarray(x0).reshape(4))
-        states[0] = x
-        for k in range(n):
-            try:
-                # plain float keeps the sweep in Python arithmetic, where
-                # blow-ups raise OverflowError instead of warning silently
-                x, c = self._sweep(x, float(u[k]), tape)
-            except (OverflowError, ValueError):
-                states[k + 1 :] = states[k]
-                return states, costs
-            if not (math.isfinite(c) and all(math.isfinite(v) for v in x)):
-                states[k + 1 :] = states[k]
-                return states, costs
-            costs[k] = c
-            states[k + 1] = x
-        return states, costs
-
-    def cost_gradient(self, states, controls, seeds=None, tape=None):
-        u = np.asarray(controls, dtype=float).reshape(-1).tolist()
-        xs = [tuple(row) for row in np.asarray(states, dtype=float).tolist()]
-        if tape is None:  # re-record the substeps from the states
-            tape = []
-            for k in range(len(u)):
-                self._sweep(xs[k], u[k], tape)
-        w = None if seeds is None else np.asarray(seeds, dtype=float).reshape(-1, 4).tolist()
-        g = [0.0] * len(u)
-        lam = (0.0, 0.0, 0.0, 0.0)  # costate of x_{k+1}
-        n_sub = self.substeps
-        for k in range(len(u) - 1, -1, -1):
-            if w is not None:
-                lam = tuple(a + b for a, b in zip(lam, w[k]))
+    def _period_adjoint(self, k, x, u, x_next, lam, tape):
+        if tape is None:  # record the period's stages again from its start state
+            steps: list = []
+            self._sweep(x, u[0], steps)
+        else:
+            n_sub = self.substeps
             steps = tape[k * n_sub : (k + 1) * n_sub]
-            lam, g[k] = self._sweep_adjoint(steps, xs[k + 1], u[k], lam)
-        return np.array(g).reshape(-1, 1)
+        lam, gu = self._sweep_adjoint(steps, x_next, u[0], lam)
+        return lam, [gu]
 
 
 def pendulum_model(T: float = 0.05, substeps: int = 20) -> PendulumModel:

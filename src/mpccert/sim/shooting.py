@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 _BARRIER = 1e300  # returned where the rollout left the floating-point range
+# L-BFGS-B's termination tests on the normalized objective: relative
+# decrease below _FTOL, or projected gradient below _GTOL
+_FTOL = 1e-12
+_GTOL = 1e-9
 
 
 @dataclass
@@ -55,8 +59,8 @@ class ShootingProblem:
     """One open-loop optimal control problem instance.
 
     ``guess`` is an (N, control_dim) warm start; ``None`` means start from
-    the zero sequence.  ``options`` may override maxiter / ftol / gtol.
-    Both are read by the quasi-Newton route only; the Riccati route needs
+    the zero sequence.  ``options`` may override ``maxiter``.  Both are
+    read by the quasi-Newton route only; the Riccati route needs
     neither, but rejects unknown options all the same.
     """
 
@@ -138,7 +142,7 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
 
 
 def _solver_options(problem: ShootingProblem) -> dict:
-    opts = {"maxiter": 400, "ftol": 1e-12, "gtol": 1e-9}
+    opts = {"maxiter": 400}
     unknown = set(problem.options) - set(opts)
     if unknown:
         raise ValueError(f"unknown solver options: {sorted(unknown)}")
@@ -185,7 +189,7 @@ def _solve_riccati(problem: ShootingProblem) -> ShootingSolution:
         x = problem.x0
         for k in range(n):
             controls[k] = -(gains[n - 1 - k] @ x)
-            x = model.f(x, controls[k])
+            x = model.A @ x + model.B @ controls[k]
     states, costs, total, grad = _evaluate(model, problem.x0, controls)
     scale = _objective_scale(model, problem.x0, np.zeros_like(controls))
     value = float(np.sum(costs))
@@ -208,12 +212,12 @@ def _solve_quasi_newton(problem: ShootingProblem) -> ShootingSolution:
     """L-BFGS-B on the stacked controls, fed value and adjoint gradient.
 
     Convergence is declared by the quasi-Newton termination tests (projected
-    gradient below gtol, or relative cost decrease below ftol on the
+    gradient below ``_GTOL``, or relative cost decrease below ``_FTOL`` on the
     normalized objective).  Hitting the iteration cap returns the best point
     found, flagged ``converged=False`` — callers decide whether that is
     acceptable.
     """
-    from scipy.optimize import minimize  # deferred: importing scipy dominates start-up
+    from scipy.optimize import Bounds, minimize  # deferred: importing scipy dominates start-up
 
     opts = _solver_options(problem)
     model = problem.model
@@ -233,24 +237,22 @@ def _solve_quasi_newton(problem: ShootingProblem) -> ShootingSolution:
         u0,
         jac=True,
         method="L-BFGS-B",
-        bounds=bounds,
+        bounds=None if bounds is None else Bounds(*bounds),
         options={
             "maxiter": int(opts["maxiter"]),
-            "ftol": float(opts["ftol"]),
-            "gtol": float(opts["gtol"]),
+            "ftol": _FTOL,
+            "gtol": _GTOL,
             "maxfun": 100 * int(opts["maxiter"]) * max(1, u0.size),
         },
     )
 
     controls = np.asarray(res.x, dtype=float).reshape(n, cdim)
     states, costs, total, grad = _evaluate(model, problem.x0, controls)
-    # the quantity L-BFGS-B tests against gtol: the step to the bounds
+    # the quantity L-BFGS-B tests against _GTOL: the step to the bounds
     # along the negative gradient, in the normalized objective
     u, g = controls.reshape(-1), grad.reshape(-1) / scale
     if bounds is not None:
-        lo = np.array([-math.inf if b[0] is None else b[0] for b in bounds])
-        hi = np.array([math.inf if b[1] is None else b[1] for b in bounds])
-        g = u - np.clip(u - g, lo, hi)
+        g = u - np.clip(u - g, *bounds)
     message = res.message if isinstance(res.message, str) else str(res.message)
     return ShootingSolution(
         controls=controls,

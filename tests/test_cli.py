@@ -126,6 +126,28 @@ class TestProfileRegionHorizon:
         verdicts = {tuple(l.split(",")[:2]): l.split(",")[2] for l in lines[2:]}
         assert verdicts[("1.5", "0.3")] == "1"
 
+    def test_region_rejects_oversized_grids(self, tmp_path):
+        # the grid's axes and mask are allocated before any check; run in a
+        # child with a time and an address-space limit, as above
+        out = tmp_path / "r.csv"
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "import mpccert.cli\n"
+            "for grid in ('1001', '1000000000'):\n"
+            "    print(mpccert.cli.main(['region', '--N', '8', '--m', '1', '--grid', grid,\n"
+            f"                            '--output', {str(out)!r}]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                             text=True, check=True, timeout=30)
+        assert res.stdout.split() == ["1", "1"]
+        errors = res.stderr.strip().splitlines()
+        assert errors == [
+            "error: grid 1001 exceeds 1000 cells per axis",
+            "error: grid 1000000000 exceeds 1000 cells per axis",
+        ]
+        assert not out.exists()
+
     def test_horizon_single(self, capsys):
         rec = run_json(capsys, ["horizon", "--M", "2"])
         assert rec["N_hat"] == 2
@@ -147,14 +169,17 @@ class TestProfileRegionHorizon:
 
     def test_horizon_table_rejects_endless_or_empty_ranges(self, tmp_path):
         # a non-positive step used to loop forever, growing without bound,
-        # and a non-finite bound to write 0 rows; run in a child with a time
-        # and an address-space limit so a regression cannot hang the suite
+        # a non-finite bound to write 0 rows, and a tiny step to build ~1e10
+        # rows before any work; run in a child with a time and an
+        # address-space limit so a regression cannot hang the suite
         cases = [
             ["2", "4", "0"],
             ["2", "4", "-1"],
             ["nan", "4", "1"],
             ["2", "inf", "1"],
             ["2", "4", "nan"],
+            ["2", "40", "1e-9"],
+            ["2", "10003", "1"],  # 10002 rows, two above the limit
         ]
         code = (
             "import resource, sys\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_monotone_gamma
 from mpccert import (
     CSequence,
     ExpBound,
@@ -137,6 +138,59 @@ class TestSubmultiplicative:
     def test_flat_then_growing_violates(self):
         # Delta_1 = 0 but Delta_2 > 0, so Delta_1 * Delta_1 < Delta_2
         assert not check_submultiplicative(GammaSequence((1.0, 1.05, 1.1)))
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 400, 700])
+    def test_a_single_failing_pair_is_found_in_every_row(self, n):
+        # Delta = 4 everywhere except Delta_i = 1.5: only the diagonal pair
+        # (i, i) fails (2.25 < 4 while 1.5 * 4 >= 4), and only row i - 1
+        # tests it; at Delta_i = 2 it holds with equality.  All values are
+        # exact in binary, so the verdicts are exact too.
+        for i in range(1, n // 2 + 1):
+            for d_i, verdict in ((1.5, False), (2.0, True)):
+                d = [4.0] * n
+                d[i - 1] = d_i
+                gamma = GammaSequence(tuple(np.cumsum([1.0] + d)[1:]))
+                assert check_submultiplicative(gamma) is verdict, (i, d_i)
+
+
+def submultiplicative_pairwise(gamma: GammaSequence) -> bool:
+    """The definition checked pair by pair: the oracle for the blocked,
+    vectorized ``check_submultiplicative``, which forms the same products."""
+    d = gamma.deltas()
+    n = len(d)
+    for i in range(1, n):  # pair (i, j), 1-based, i <= j, i + j <= n
+        for j in range(i, n - i + 1):
+            if d[i - 1] * d[j - 1] < d[i + j - 1]:
+                return False
+    return True
+
+
+@st.composite
+def submultiplicative_candidates(draw):
+    """Monotone sequences with flat steps, exponential and constant
+    families, and submultiplicative exponential bounds with one late
+    difference raised, so violations also sit deep in the sequence (past
+    the first block of rows at N = 400)."""
+    n = draw(st.integers(min_value=2, max_value=400))
+    kind = draw(st.sampled_from(["flat-steps", "exponential", "constant", "late-bump"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if kind == "flat-steps":
+        return random_monotone_gamma(rng, n)
+    if kind == "constant":
+        return constant_gamma(float(rng.choice([1.0, rng.uniform(1.0, 50.0)])), n)
+    g = gamma_from_exponential(float(rng.uniform(1.0, 6.0)), float(rng.uniform(0.01, 0.99)), n)
+    if kind == "exponential":
+        return g
+    d = list(g.deltas())
+    k = int(rng.integers(n // 2, n))
+    d[k] *= float(rng.uniform(1.0, 3.0))
+    return GammaSequence(tuple(np.cumsum([1.0] + d)[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(submultiplicative_candidates())
+def test_submultiplicative_check_matches_pairwise_definition(gamma):
+    assert check_submultiplicative(gamma) == submultiplicative_pairwise(gamma)
 
 
 class TestCsvRoundTrip:

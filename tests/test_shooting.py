@@ -279,7 +279,7 @@ class TestProblemPlumbing:
         bounded = lq_scalar()
         bounded.u_lower = np.array([-10.0])
         for model in (lq_scalar(), bounded):
-            for bad in ({"tol": 1e-8}, {"fd_step": 1e-6}):
+            for bad in ({"tol": 1e-8}, {"fd_step": 1e-6}, {"ftol": 1e-10}, {"gtol": 1e-6}):
                 with pytest.raises(ValueError, match="unknown solver options"):
                     solve_finite_horizon(ShootingProblem(model, 4, np.array([1.0]), options=bad))
 

@@ -52,6 +52,54 @@ def integrate_sampled(field, x: np.ndarray, u: np.ndarray, T: float, substeps: i
     return x
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES)
+class TestModelContract:
+    """What ``SystemModel`` builds, once, on each plant's period map."""
+
+    def test_rollout_matches_stepwise_recursion(self, name):
+        m = model_by_name(name)
+        u = np.random.default_rng(7).normal(size=(6, m.control_dim))
+        states, costs = m.rollout(m.default_x0, u)
+        assert states.shape == (7, m.state_dim) and costs.shape == (6,)
+        x = m.default_x0
+        for k in range(6):
+            assert costs[k] == m.stage_cost(x, u[k])
+            x = m.f(x, u[k])
+            np.testing.assert_array_equal(states[k + 1], x)
+
+    def test_f_and_stage_cost_equal_step(self, name):
+        m = model_by_name(name)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = m.default_x0 + rng.normal(scale=0.5, size=m.state_dim)
+            u = rng.normal(size=m.control_dim)
+            x_next, cost = m.step(x, u)
+            assert x_next.shape == (m.state_dim,)
+            np.testing.assert_array_equal(x_next, m.f(x, u))
+            assert type(cost) is float and cost == m.stage_cost(x, u)
+
+    def test_rollout_freezes_after_blowup(self, name):
+        # the cost overflows at period 3: the state freezes at x_3 and every
+        # remaining cost is +inf, a wall for the line search
+        m = model_by_name(name)
+        u = np.zeros((8, m.control_dim))
+        u[3:] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, costs = m.rollout(m.default_x0, u)
+        assert np.all(np.isfinite(costs[:3])) and np.all(np.isinf(costs[3:]))
+        assert np.all(np.isfinite(states))
+        np.testing.assert_array_equal(states[4:], np.tile(states[3], (5, 1)))
+
+    def test_step_raises_on_divergence(self, name):
+        m = model_by_name(name)
+        x = np.zeros(m.state_dim)
+        x[-1] = 2.0 * DIVERGENCE_NORM
+        with pytest.raises(DivergenceError, match="state norm exceeded"):
+            m.step(x, np.zeros(m.control_dim))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            m.step(m.default_x0, np.full(m.control_dim, 1e200))
+
+
 class TestLqScalar:
     def test_dynamics_and_cost(self):
         m = lq_scalar()
@@ -59,22 +107,6 @@ class TestLqScalar:
         u = np.array([-1.0])
         np.testing.assert_allclose(m.f(x, u), [3.0])  # 2*2 - 1
         assert m.stage_cost(x, u) == 5.0  # 4 + 1
-
-    def test_rollout_matches_stepwise_recursion(self):
-        m = lq_scalar()
-        rng = np.random.default_rng(7)
-        u = rng.normal(size=(6, 1))
-        states, costs = m.rollout(np.array([1.5]), u)
-        x = np.array([1.5])
-        for k in range(6):
-            assert costs[k] == pytest.approx(m.stage_cost(x, u[k]), rel=1e-14)
-            x = m.f(x, u[k])
-            np.testing.assert_allclose(states[k + 1], x, rtol=1e-14)
-
-    def test_step_raises_on_divergence(self):
-        m = lq_scalar()
-        with pytest.raises(DivergenceError):
-            m.step(np.array([1e8]), np.array([0.0]))
 
     def test_rollout_never_raises(self):
         # u^2 overflows immediately: states freeze at x0, every cost is +inf
@@ -201,12 +233,18 @@ class TestPendulum:
         assert m.x_upper[0] == lim
         assert np.isinf(m.x_lower[1])
 
-    def test_rollout_freezes_after_blowup(self):
+    def test_step_integrates_one_period(self):
+        # step, f and stage_cost each run one sweep; the wrapper takes
+        # positional arguments only, as the benchmark's period counter does
         m = pendulum_model()
-        u = np.full((8, 1), 1e155)
-        states, costs = m.rollout(np.zeros(4), u)
-        assert np.all(np.isfinite(states))
-        assert math.isinf(costs[-1])
+        sweeps = []
+        sweep = m._sweep
+        m._sweep = lambda *args: sweeps.append(1) or sweep(*args)
+        m.step(m.default_x0, np.array([0.3]))
+        assert len(sweeps) == 1
+        m.f(m.default_x0, np.array([0.3]))
+        m.stage_cost(m.default_x0, np.array([0.3]))
+        assert len(sweeps) == 3
 
     def test_substeps_must_be_even(self):
         with pytest.raises(ValueError):
