@@ -250,6 +250,8 @@ def _default_startup(model_name: str) -> int:
 def _cmd_simulate(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m {args.m} must be >= 1")
+    if args.m > args.N - 1:
+        raise ValueError(f"--m {args.m} must be <= N - 1 = {args.N - 1}")
     if args.steps < 1:
         raise ValueError(f"--steps {args.steps} must be >= 1")
     model = model_by_name(args.model)

@@ -169,13 +169,16 @@ def mpc_run(
     warm the optimizer into the right basin — the audited trace then starts
     from the post-startup state with a meaningful initial guess.  The final
     window is truncated if the schedule overshoots ``steps``; a schedule
-    that cannot cover ``steps`` is rejected.
+    that cannot cover ``steps``, or whose m* exceeds ``horizon``, is
+    rejected before any solve.
 
     Solver non-convergence is tolerated (recorded per update); state
     divergence aborts the run and marks the trace as failed.
     """
     if steps < 1:
         raise ValueError("need at least one applied move")
+    if schedule.m_star > horizon:
+        raise ValueError(f"m* = {schedule.m_star} exceeds the horizon N = {horizon}")
     if schedule.total_steps < steps:
         raise ValueError(
             f"schedule covers {schedule.total_steps} moves but {steps} were requested"

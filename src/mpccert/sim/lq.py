@@ -106,7 +106,9 @@ def gamma_from_riccati(model, n: int) -> GammaSequence:
 
     Scalar case: p_i / p_1.  Matrix case: the largest generalized eigenvalue
     of (P_i, P_1), since the supremum of a ratio of quadratics is attained
-    at the leading generalized eigenvector.
+    at the leading generalized eigenvector.  With P_1 = sym(Q) = L L' it is
+    the largest eigenvalue of L^-1 P_i L^-T, taken for all i in one stacked
+    symmetric eigensolve; sym(Q) must therefore be positive definite.
     """
     from .models import LqModel, LqScalarModel
 
@@ -116,14 +118,14 @@ def gamma_from_riccati(model, n: int) -> GammaSequence:
         p = riccati_values(model.a, model.b, model.q, model.r, n)
         return GammaSequence(tuple(pi / p[0] for pi in p))
     if isinstance(model, LqModel):
-        from scipy.linalg import eigh  # deferred: importing scipy dominates start-up
-
-        mats = riccati_matrices(model.A, model.B, model.Q, model.R, n)
-        vals = []
-        prev = 1.0  # the sequence is monotone in exact arithmetic; clamp
-        for P in mats:  # eigensolver round-off so construction never rejects
-            w = eigh(P, mats[0], eigvals_only=True)
-            prev = max(prev, float(w[-1]))
-            vals.append(prev)
-        return GammaSequence(tuple(vals))
+        mats = np.array(riccati_matrices(model.A, model.B, model.Q, model.R, n))
+        try:
+            L = np.linalg.cholesky(mats[0])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"growth bounds need sym(Q) positive definite: {exc}") from exc
+        Li = np.linalg.inv(L)
+        top = np.linalg.eigvalsh(Li @ mats @ Li.T)[:, -1]
+        # the sequence is monotone in exact arithmetic; clamp eigensolver
+        # round-off so construction never rejects
+        return GammaSequence(tuple(np.maximum.accumulate(np.maximum(top, 1.0)).tolist()))
     raise TypeError(f"not a linear-quadratic model: {model!r}")

@@ -29,8 +29,13 @@ away from them) and ``cost_gradient`` (the discrete adjoint of a finite
 rollout: one reverse pass gives the derivative of the rollout cost in
 every control).  A caller that wants both passes hands the same ``tape``
 list to ``rollout`` and then to ``cost_gradient``: a plant whose reverse
-pass needs the forward pass's intermediates (the pendulum's RK4 stages)
-records them there once instead of recomputing them.
+pass needs the forward pass's intermediates records them there once
+instead of recomputing them.  The pendulum records one entry per RK4
+substep: the substep's start node with the sine and cosine of its angle
+and velocity, and each of the four stage points with the sine and cosine
+of its angle plus pi, which is every trig value its reverse pass needs
+except those of the period's end node (the store-all strategy of reverse
+mode; Griewank & Walther, *Evaluating Derivatives*, 2008).
 """
 from __future__ import annotations
 
@@ -245,6 +250,8 @@ class LqModel(SystemModel):
         self.name = name
         super().__init__()
         self.A, self.B, self.Q, self.R = A, B, Q, R
+        # the cost's derivatives: Q and R need not be symmetric
+        self._Q2, self._R2 = Q + Q.T, R + R.T
         self.default_x0 = np.zeros(self.state_dim)
         self.default_x0[0] = 1.0
 
@@ -253,11 +260,10 @@ class LqModel(SystemModel):
         return (self.A @ x + self.B @ u).tolist(), float(x @ self.Q @ x + u @ self.R @ u)
 
     def _period_adjoint(self, k, x, u, x_next, lam, tape):
-        # Q and R need not be symmetric
         lam = np.array(lam)
         return (
-            (np.array(x) @ (self.Q + self.Q.T) + self.A.T @ lam).tolist(),
-            (np.array(u) @ (self.R + self.R.T) + self.B.T @ lam).tolist(),
+            (np.array(x) @ self._Q2 + self.A.T @ lam).tolist(),
+            (np.array(u) @ self._R2 + self.B.T @ lam).tolist(),
         )
 
 
@@ -320,8 +326,18 @@ class PendulumModel(SystemModel):
         The right-hand side and running cost are inlined: this loop runs
         N times per objective evaluation of the shooting solver, so
         per-call overhead dominates wall time if left factored.  ``tape``,
-        if given, receives each substep's start state and RK4 stage points
-        for the reverse pass (``_sweep_adjoint``).  Raises
+        if given, receives one entry per substep, the 22-tuple
+
+            (x1, x2, x3, x4, sin x1, cos x1, sin x2, cos x2,
+             sin(x1 + pi), cos(x1 + pi),
+             m1, m2, sin(m1 + pi), cos(m1 + pi),
+             n1, n2, sin(n1 + pi), cos(n1 + pi),
+             p1, p2, sin(p1 + pi), cos(p1 + pi)):
+
+        the substep's start node with the trig values of its running cost,
+        then each RK4 stage point with the trig values of its right-hand
+        side, so that the reverse pass (``_sweep_adjoint``) evaluates no
+        trig function except at the period's end node.  Raises
         OverflowError/ValueError if the trig/power evaluations leave the
         floating-point range; ``rollout`` converts that to an infinite cost,
         ``step`` to a :class:`DivergenceError`.
@@ -331,47 +347,67 @@ class PendulumModel(SystemModel):
         gl = _G / _LENGTH
         fl = _FRICTION / _LENGTH
         fr = _FRICTION
+        ngl = -gl
         eps = _SGN_EPS
         h = self.T / self.substeps
         h2 = 0.5 * h
+        uu = 1e-4 * u * u
         x1, x2, x3, x4 = x
-
-        def rhs2(a1: float, a2: float) -> float:
-            # angular acceleration; x3/x4 components are trivially (x4, u)
-            sgn = 1.0 if a2 > eps else (-1.0 if a2 < -eps else 0.0)
-            return -gl * sin(a1 + pi) - fl * a2 * abs(a2) - u * cos(a1 + pi) - fr * sgn
-
-        def lrun(a1: float, a2: float, a3: float, a4: float) -> float:
-            s1 = sin(a1)
-            c2 = cos(a2)
-            inner = (
-                3.51 * s1 * s1
-                + 4.82 * a2 * s1
-                + 2.31 * a2 * a2
-                + 0.01 * a3 * a3
-                + 2.0 * ((1.0 - cos(a1)) * (1.0 + c2 * c2)) ** 2
-                + 0.1 * a4 * a4
-            )
-            return 1e-4 * u * u + inner * inner
-
-        acc = lrun(x1, x2, x3, x4)  # Simpson endpoint, weight 1
+        # running cost at the start node: Simpson endpoint, weight 1
+        sa, ca, cv = sin(x1), cos(x1), cos(x2)
+        inner = (
+            3.51 * sa * sa
+            + 4.82 * x2 * sa
+            + 2.31 * x2 * x2
+            + 0.01 * x3 * x3
+            + 2.0 * ((1.0 - ca) * (1.0 + cv * cv)) ** 2
+            + 0.1 * x4 * x4
+        )
+        acc = uu + inner * inner
         n_sub = self.substeps
         for i in range(1, n_sub + 1):
-            b2 = rhs2(x1, x2)
+            # RK4 stages of the angular acceleration; the cart components
+            # are trivially (x4, u)
+            t = x1 + pi
+            sx, cx = sin(t), cos(t)
+            sgn = 1.0 if x2 > eps else (-1.0 if x2 < -eps else 0.0)
+            b2 = ngl * sx - fl * x2 * abs(x2) - u * cx - fr * sgn
             m1, m2 = x1 + h2 * x2, x2 + h2 * b2
-            c2_ = rhs2(m1, m2)
-            n1, n2 = x1 + h2 * m2, x2 + h2 * c2_
-            d2 = rhs2(n1, n2)
+            t = m1 + pi
+            sm, cm = sin(t), cos(t)
+            sgn = 1.0 if m2 > eps else (-1.0 if m2 < -eps else 0.0)
+            c2 = ngl * sm - fl * m2 * abs(m2) - u * cm - fr * sgn
+            n1, n2 = x1 + h2 * m2, x2 + h2 * c2
+            t = n1 + pi
+            sn, cn = sin(t), cos(t)
+            sgn = 1.0 if n2 > eps else (-1.0 if n2 < -eps else 0.0)
+            d2 = ngl * sn - fl * n2 * abs(n2) - u * cn - fr * sgn
             p1, p2 = x1 + h * n2, x2 + h * d2
-            e2 = rhs2(p1, p2)
+            t = p1 + pi
+            sp, cp = sin(t), cos(t)
+            sgn = 1.0 if p2 > eps else (-1.0 if p2 < -eps else 0.0)
+            e2 = ngl * sp - fl * p2 * abs(p2) - u * cp - fr * sgn
             if tape is not None:
-                tape.append((x1, x2, x3, x4, m1, m2, n1, n2, p1, p2))
+                tape.append(
+                    (x1, x2, x3, x4, sa, ca, sin(x2), cv, sx, cx,
+                     m1, m2, sm, cm, n1, n2, sn, cn, p1, p2, sp, cp)
+                )
             # cart chain is linear in (x4, u): RK4 reduces to exact quadrature
             x3 += h * x4 + h * h2 * u
             x1 += h * (x2 + 2.0 * (m2 + n2) + p2) / 6.0
-            x2 += h * (b2 + 2.0 * (c2_ + d2) + e2) / 6.0
+            x2 += h * (b2 + 2.0 * (c2 + d2) + e2) / 6.0
             x4 += h * u
-            w = lrun(x1, x2, x3, x4)
+            # running cost at the substep's end node
+            sa, ca, cv = sin(x1), cos(x1), cos(x2)
+            inner = (
+                3.51 * sa * sa
+                + 4.82 * x2 * sa
+                + 2.31 * x2 * x2
+                + 0.01 * x3 * x3
+                + 2.0 * ((1.0 - ca) * (1.0 + cv * cv)) ** 2
+                + 0.1 * x4 * x4
+            )
+            w = uu + inner * inner
             acc += (2.0 if i % 2 == 0 else 4.0) * w if i < n_sub else w
         return [x1, x2, x3, x4], acc * h / 3.0
 
@@ -385,9 +421,8 @@ class PendulumModel(SystemModel):
         derivative in ``u``, both of stage cost + <lam, x_end>, reversing
         the substeps stage by stage; the friction sign has zero derivative
         (it is constant off the deadband and the deadband is a plateau).
+        Every trig value comes from the tape except those of ``end``.
         """
-        sin, cos = math.sin, math.cos
-        pi = math.pi
         gl = _G / _LENGTH
         fl = _FRICTION / _LENGTH
         h = self.T / self.substeps
@@ -395,16 +430,15 @@ class PendulumModel(SystemModel):
         h3 = h / 3.0
         h6 = h / 6.0
         n_sub = self.substeps
+        ngl = -gl
+        nfl2 = -2.0 * fl
 
-        def drhs2(a1: float, a2: float) -> tuple[float, float, float]:
-            # partials of the angular acceleration in (angle, velocity, u)
-            s, c = sin(a1 + pi), cos(a1 + pi)
-            return -gl * c + u * s, -2.0 * fl * abs(a2), -c
-
-        def dlrun(a1: float, a2: float, a3: float, a4: float) -> tuple[float, float, float, float]:
-            # state partials of the running cost; its u-part is added per period
-            s1, c1 = sin(a1), cos(a1)
-            s2, c2 = sin(a2), cos(a2)
+        def dlrun(
+            a2: float, a3: float, a4: float, s1: float, c1: float, s2: float, c2: float
+        ) -> tuple[float, float, float, float]:
+            # state partials of the running cost at a node whose angle has
+            # sine s1 and cosine c1 and whose velocity a2 has sine s2 and
+            # cosine c2; its u-part is added per period
             v = 1.0 - c1
             w = 1.0 + c2 * c2
             p = v * w
@@ -422,52 +456,55 @@ class PendulumModel(SystemModel):
 
         l1, l2, l3, l4 = lam
         gu = 2e-4 * u * self.T  # the 1e-4 u^2 term; the Simpson weights sum to T
+        e1, e2, e3, e4 = end
+        node = (e2, e3, e4, math.sin(e1), math.cos(e1), math.sin(e2), math.cos(e2))
         for i in range(n_sub, 0, -1):
-            # Simpson node i closes substep i, which started from tape[i - 1]
+            # Simpson node i closes substep i, which started from steps[i - 1]
             wt = h3 * ((2.0 if i % 2 == 0 else 4.0) if i < n_sub else 1.0)
-            d1, d2, d3, d4 = dlrun(*(end if i == n_sub else steps[i][:4]))
+            d1, d2, d3, d4 = dlrun(*node)
             l1 += wt * d1
             l2 += wt * d2
             l3 += wt * d3
             l4 += wt * d4
-            x1, x2, _, _, m1, m2, n1, n2, p1, p2 = steps[i - 1]
+            # the stage angles themselves enter only through their trig values
+            (_, x2, x3, x4, sa, ca, sv, cv, sx, cx,
+             _, m2, sm, cm, _, n2, sn, cn, _, p2, sp, cp) = steps[i - 1]
+            node = (x2, x3, x4, sa, ca, sv, cv)
             # cart chain: x3 += h x4 + h h2 u, x4 += h u
             gu += h * l4 + h * h2 * l3
             l4 += h * l3
             # angle chain: stage adjoints of the RK4 combination, then each
-            # stage rhs2(a1, a2) in reverse order
+            # stage's angular acceleration in reverse order; its partials in
+            # (angle, velocity, u) at stage point (a1, a2) are
+            # (-gl cos(a1 + pi) + u sin(a1 + pi), -2 fl |a2|, -cos(a1 + pi))
             gm2 = gn2 = h3 * l1
             gp2 = h6 * l1
             gb2, gc2, gd2, ge2 = h6 * l2, h3 * l2, h3 * l2, h6 * l2
             g1, g2 = l1, l2 + h6 * l1
-            r1, r2, ru = drhs2(p1, p2)  # p = x + h (n2, d2)
-            gp1 = ge2 * r1
-            gp2 += ge2 * r2
-            gu += ge2 * ru
+            gp1 = ge2 * (ngl * cp + u * sp)  # p = x + h (n2, d2)
+            gp2 += ge2 * (nfl2 * abs(p2))
+            gu -= ge2 * cp
             g1 += gp1
             gn2 += h * gp1
             g2 += gp2
             gd2 += h * gp2
-            r1, r2, ru = drhs2(n1, n2)  # n = x + h2 (m2, c2)
-            gn1 = gd2 * r1
-            gn2 += gd2 * r2
-            gu += gd2 * ru
+            gn1 = gd2 * (ngl * cn + u * sn)  # n = x + h2 (m2, c2)
+            gn2 += gd2 * (nfl2 * abs(n2))
+            gu -= gd2 * cn
             g1 += gn1
             gm2 += h2 * gn1
             g2 += gn2
             gc2 += h2 * gn2
-            r1, r2, ru = drhs2(m1, m2)  # m = x + h2 (x2, b2)
-            gm1 = gc2 * r1
-            gm2 += gc2 * r2
-            gu += gc2 * ru
+            gm1 = gc2 * (ngl * cm + u * sm)  # m = x + h2 (x2, b2)
+            gm2 += gc2 * (nfl2 * abs(m2))
+            gu -= gc2 * cm
             g1 += gm1
             g2 += h2 * gm1 + gm2
             gb2 += h2 * gm2
-            r1, r2, ru = drhs2(x1, x2)
-            l1 = g1 + gb2 * r1
-            l2 = g2 + gb2 * r2
-            gu += gb2 * ru
-        d1, d2, d3, d4 = dlrun(*steps[0][:4])  # Simpson endpoint at the period's start
+            l1 = g1 + gb2 * (ngl * cx + u * sx)
+            l2 = g2 + gb2 * (nfl2 * abs(x2))
+            gu -= gb2 * cx
+        d1, d2, d3, d4 = dlrun(*node)  # Simpson endpoint at the period's start
         return [l1 + h3 * d1, l2 + h3 * d2, l3 + h3 * d3, l4 + h3 * d4], gu
 
     def _period(self, x, u, tape):

@@ -227,8 +227,12 @@ def _solve_quasi_newton(problem: ShootingProblem) -> ShootingSolution:
     u0 = guess.reshape(-1)
     scale = _objective_scale(model, problem.x0, guess)
 
+    last_u, last = b"", None  # the point evaluated last, as bytes, and its _evaluate result
+
     def objective(u_flat: np.ndarray) -> tuple[float, np.ndarray]:
-        _, _, total, grad = _evaluate(model, problem.x0, u_flat.reshape(n, cdim))
+        nonlocal last_u, last
+        last_u, last = u_flat.tobytes(), _evaluate(model, problem.x0, u_flat.reshape(n, cdim))
+        _, _, total, grad = last
         return total / scale, grad.reshape(-1) / scale
 
     bounds = model.control_bounds(n)
@@ -247,7 +251,12 @@ def _solve_quasi_newton(problem: ShootingProblem) -> ShootingSolution:
     )
 
     controls = np.asarray(res.x, dtype=float).reshape(n, cdim)
-    states, costs, total, grad = _evaluate(model, problem.x0, controls)
+    # L-BFGS-B usually returns the point it evaluated last; compared bit for
+    # bit, so that reuse gives exactly what a new evaluation would
+    if last_u == controls.tobytes():
+        states, costs, total, grad = last
+    else:
+        states, costs, total, grad = _evaluate(model, problem.x0, controls)
     # the quantity L-BFGS-B tests against _GTOL: the step to the bounds
     # along the negative gradient, in the normalized objective
     u, g = controls.reshape(-1), grad.reshape(-1) / scale

@@ -235,6 +235,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {value} must be >= 1"), err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "lq-scalar", "--N", "3", "--m", "5", "--steps", "10"],
+            ["--model", "lq-scalar", "--N", "3", "--m", "3", "--steps", "10"],
+            ["--model", "pendulum", "--N", "2", "--m", "4", "--steps", "4", "--startup", "0"],
+        ],
+    )
+    def test_control_horizon_above_n_minus_one_is_rejected(self, capsys, argv):
+        assert main(["simulate"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --m "), captured.err
+        assert "must be <= N - 1" in captured.err
+        assert captured.out == ""
+
 
 class TestNetwork:
     def test_certified_campaign(self, capsys):
@@ -358,11 +373,14 @@ def test_import_leaves_scipy_unloaded():
         ["profile", "--C", "3", "--sigma", "0.5", "--N", "12", "--exact"],
     ):
         assert _run_in_child(argv, "scipy") == "0 False", argv
-    # unbounded LQ plants are solved by the Riccati recursion, without the
-    # quasi-Newton solver
+    # unbounded LQ plants are solved by the Riccati recursion, and their
+    # growth bounds come from one numpy eigensolve, so no scipy module loads
     for argv in (
         ["simulate", "--model", "lq-scalar", "--N", "6", "--m", "2", "--steps", "4"],
         ["network", "--model", "lq-scalar", "--N", "6", "--m-star", "2", "--p", "0.3",
          "--seeds", "1", "--steps", "4"],
+        ["simulate", "--model", "lq-double-integrator", "--N", "6", "--m", "2", "--steps", "4"],
+        ["network", "--model", "lq-double-integrator", "--N", "46", "--m-star", "1", "--p", "0.3",
+         "--seeds", "1", "--steps", "2"],
     ):
-        assert _run_in_child(argv, "scipy.optimize") == "0 False", argv
+        assert _run_in_child(argv, "scipy") == "0 False", argv

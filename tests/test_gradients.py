@@ -162,6 +162,75 @@ class TestPendulumAdjoint:
         np.testing.assert_allclose(oracle, 0.0, atol=1e-9)
 
 
+
+# float.hex of a pendulum rollout and its taped cost gradient: x0, then the
+# end state, the stage costs and the gradient, for u below and no seeds
+PINNED_CONTROLS = [0.5, -1.0, 0.25, 2.0, -0.75, 0.125]
+PINNED = [
+    (
+        [0.05, -0.1, 0.2, 0.0],  # near upright
+        ["0x1.ea2dd2ecaecf3p-6", "-0x1.e6b1c8973b7f6p-6", "0x1.a947ae147ae12p-3", "0x1.ccccccccccccep-5"],
+        ["0x1.97802ab9a9009p-19", "0x1.3b6076529f709p-17", "0x1.5509e0547e931p-17",
+         "0x1.6717d2e9b0784p-16", "0x1.abe0fa681de8cp-19", "0x1.d1a9c38dc0323p-23"],
+        ["-0x1.312ea181c73e3p-15", "-0x1.74c95939a5da8p-15", "-0x1.64dce34434a83p-17",
+         "0x1.62e71e25e3526p-16", "-0x1.dfa276ef8f74bp-18", "0x1.5923d78726b7ep-20"],
+    ),
+    (
+        [2.0 * math.pi - 0.01, 0.3, -0.5, 0.1],  # at the angle limit
+        ["0x1.97c34e85b0972p+2", "0x1.74c2d8634aebcp-2", "-0x1.d970a3d70a3d4p-2", "0x1.4000000000007p-3"],
+        ["0x1.4fdc2f11ef367p-9", "0x1.5e66ae43d30c8p-9", "0x1.4f123658d3343p-9",
+         "0x1.9a7667b96b0d0p-8", "0x1.4763db2f8a67fp-7", "0x1.5d559daad3463p-7"],
+        ["0x1.4a05304443ddbp-6", "0x1.1ca356a6e27bbp-6", "0x1.e9c3a817e2967p-7",
+         "0x1.8a5df03a885bap-7", "0x1.dfae11c89f62ep-8", "0x1.48ccd8d20f071p-9"],
+    ),
+]
+
+
+class _CountingTrig:
+    """Stands in for ``math`` and counts its sin and cos calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def sin(self, v):
+        self.calls += 1
+        return math.sin(v)
+
+    def cos(self, v):
+        self.calls += 1
+        return math.cos(v)
+
+
+class TestPendulumKernel:
+    @pytest.mark.parametrize("x0, end, costs, grad", PINNED)
+    def test_rollout_and_taped_gradient_are_bit_stable(self, x0, end, costs, grad):
+        # any change to the kernel's arithmetic that moves a bit fails here
+        model = pendulum_model()
+        u = np.array(PINNED_CONTROLS).reshape(6, 1)
+        tape: list = []
+        states, stage_costs = model.rollout(np.array(x0), u, tape)
+        taped = model.cost_gradient(states, u, None, tape)
+        assert [v.hex() for v in states[-1]] == end
+        assert [v.hex() for v in stage_costs] == costs
+        assert [v.hex() for v in taped.ravel()] == grad
+        np.testing.assert_array_equal(model.cost_gradient(states, u), taped)
+
+    def test_taped_reverse_pass_evaluates_trig_only_at_end_nodes(self, monkeypatch):
+        # the tape holds every trig value of the stages and of the substeps'
+        # start nodes; each period's end node costs four calls
+        model = pendulum_model()
+        u = np.array(PINNED_CONTROLS).reshape(6, 1)
+        tape: list = []
+        states, _ = model.rollout(np.array(PINNED[0][0]), u, tape)
+        trig = _CountingTrig()
+        monkeypatch.setattr("mpccert.sim.models.math", trig)
+        model.cost_gradient(states, u, None, tape)
+        assert trig.calls <= 4 * len(u)
+
+
 class TestBarrier:
     @pytest.mark.parametrize(
         "make, x0, big",

@@ -13,6 +13,7 @@ from mpccert.sim import (
     lq_scalar,
     measured_alpha,
     mpc_run,
+    pendulum_model,
     trace_to_csv,
     verify_relaxed_lyapunov,
 )
@@ -98,6 +99,15 @@ class TestMpcRun:
         model = lq_scalar()
         with pytest.raises(ValueError, match="covers"):
             mpc_run(model, 6, constant_schedule(1, 3), np.array([1.0]), 10)
+
+    def test_gap_above_the_horizon_is_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(problem):
+            raise AssertionError("solved before validating the schedule")
+
+        monkeypatch.setattr(loop, "solve_finite_horizon", no_solve)
+        for model, n, x0 in ((lq_scalar(), 3, [1.0]), (pendulum_model(), 2, [0.1, 0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="exceeds the horizon"):
+                mpc_run(model, n, constant_schedule(n + 1, 2), np.array(x0), 2 * n + 2)
 
     def test_startup_phase_is_recorded_separately(self):
         model = lq_scalar()

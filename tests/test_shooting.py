@@ -18,6 +18,7 @@ from mpccert.sim import (
     shift_guess,
     solve_finite_horizon,
 )
+from mpccert.sim import shooting
 from mpccert.sim.shooting import _evaluate, _solve_quasi_newton
 
 
@@ -270,6 +271,20 @@ class TestPendulumShooting:
         # optimization must beat the zero-control rollout it started from
         _, idle_costs = model.rollout(x0, np.zeros((4, 1)))
         assert sol.value < float(np.sum(idle_costs))
+
+    def test_final_point_is_not_evaluated_again(self, monkeypatch):
+        # the solution reuses the optimizer's last evaluation when it
+        # returns that point, with the same diagnostics as a fresh one
+        model = pendulum_model()
+        x0 = np.array([math.pi + 1.4, 0.0, 0.0, 0.0])
+        calls = []
+        monkeypatch.setattr(shooting, "_evaluate", lambda *a: calls.append(1) or _evaluate(*a))
+        sol = solve_finite_horizon(ShootingProblem(model, 4, x0, options={"maxiter": 80}))
+        assert len(calls) == sol.nfev
+        states, costs, total, _ = _evaluate(model, x0, sol.controls)
+        np.testing.assert_array_equal(sol.states, states)
+        np.testing.assert_array_equal(sol.stage_costs, costs)
+        assert sol.objective == total
 
 
 class TestProblemPlumbing:
