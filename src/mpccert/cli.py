@@ -11,7 +11,9 @@ Conventions: all floats are printed with 12 significant digits; CSV outputs
 start with a ``#config`` echo of the resolved parameters; JSON reports
 embed the same echo under ``"config"``.  Relative ``--output`` paths are
 resolved against $MPCCERT_OUTDIR when it is set.  Exit status reflects
-execution success only — an unstable verdict is a result, not an error.
+execution success only — an unstable verdict is a result, not an error,
+and neither is a reader that closes the pipe early (``mpccert ... | head``):
+the command then stops quietly with status 0.
 """
 from __future__ import annotations
 
@@ -117,9 +119,9 @@ def _gamma_from_args(args, n: int) -> tuple[GammaSequence, dict]:
 
 def _emit_json(record: dict, out: Optional[Path]) -> None:
     text = dumps_stable(record)
-    print(text)
-    if out is not None:
+    if out is not None:  # first: a reader closing stdout early must not lose the file
         out.write_text(text + "\n", encoding="ascii")
+    print(text)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -423,10 +425,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+    except BrokenPipeError:
+        status = 0  # the reader closed the pipe early (`mpccert ... | head`)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status = 1
+    try:
+        sys.stdout.flush()  # here, not at exit, where a closed pipe gets reported
+    except BrokenPipeError:
+        # drop what is still buffered, so that the flush at exit passes too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

@@ -106,6 +106,7 @@ class SeedOutcome:
     audit: LyapunovAudit
     measured: float
     updates: int
+    all_converged: bool  # every solve of the seed's loop, the closing one included
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,7 @@ class NetworkReport:
                     "schedule": list(o.schedule),
                     "updates": o.updates,
                     "measured_alpha": o.measured,
+                    "all_converged": o.all_converged,
                     "violations": len(o.audit.violations),
                     "worst_margin": o.audit.worst_margin,
                     "realized_cost": o.audit.realized_cost,
@@ -227,6 +229,7 @@ def run_network_experiment(
                 audit=audit,
                 measured=measured_alpha(trace, epsilon=epsilon),
                 updates=len(trace.updates),
+                all_converged=trace.all_converged,
             )
         )
     return NetworkReport(

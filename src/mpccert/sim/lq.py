@@ -4,10 +4,28 @@ For LQ problems the finite-horizon value functions are exactly quadratic,
 V_i(x) = x' P_i x, with P_i given by the standard backward recursion.  That
 makes the growth bounds gamma_i = sup_x V_i(x) / V_1(x) computable exactly:
 the largest generalized eigenvalue of (P_i, P_1).  These sequences feed the
-certificates, and the recursion doubles as an independent oracle for the
-numerical shooting solver.
+certificates, and the gains K_i drive the exact solve of
+:func:`mpccert.sim.shooting.solve_finite_horizon` on unbounded LQ plants.
+
+A campaign asks for the same recursion many times: once for its growth
+bounds and once per update, always with the same plant weights and
+horizon.  Each recursion (scalar and matrix) therefore runs once per
+distinct (weights, N) and is kept in a small memo, keyed on the exact bits
+of the weights and on N and bounded to ``_MEMO_SIZE`` entries, oldest
+dropped first.  The memo holds immutable results (tuples, read-only
+arrays); the public functions hand out copies.
+
+Since the exact solve reads this recursion, it is no oracle for that
+route.  The tests keep independent ones: ``tests/test_lq.py`` checks the
+growth bounds against ``scipy.linalg.eigh`` on the generalized problem,
+``tests/test_shooting.py`` checks the exact controls against the
+quasi-Newton optimum, and ``tests/test_gradients.py`` checks every reverse
+pass against finite differences.
 """
 from __future__ import annotations
+
+import struct
+import threading
 
 import numpy as np
 
@@ -21,8 +39,28 @@ __all__ = [
     "gamma_from_riccati",
 ]
 
+# distinct (weights, horizon) pairs kept; a campaign reads one, and a
+# matrix entry at N = 60 on the double integrator is 3 KB
+_MEMO_SIZE = 16
+_memo: dict = {}
+_memo_lock = threading.Lock()  # eviction iterates the dict
 
-def _scalar_recursion(a: float, b: float, q: float, r: float, n: int) -> tuple[list[float], list[float]]:
+
+def _memoized(key, recursion, *args):
+    """``recursion(*args)``, computed once per ``key`` while it stays in the
+    memo.  A hit returns exactly what a new computation would, so callers
+    sharing the process cannot see each other."""
+    out = _memo.get(key)
+    if out is None:
+        out = recursion(*args)
+        with _memo_lock:
+            if len(_memo) >= _MEMO_SIZE:
+                del _memo[next(iter(_memo))]  # insertion order: the oldest entry
+            _memo[key] = out
+    return out
+
+
+def _scalar_recursion(a: float, b: float, q: float, r: float, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Cost-to-go coefficients p_1..p_n and gains k_1..k_n, in plain floats.
 
     p_1 = q and k_1 = 0 (one stage, no input needed), then with
@@ -38,17 +76,20 @@ def _scalar_recursion(a: float, b: float, q: float, r: float, n: int) -> tuple[l
         s = r + b * b * pk
         k.append(a * b * pk / s)
         p.append(q + pk * a * a * r / s)
-    return p, k
+    return tuple(p), tuple(k)
 
 
-def _matrix_recursion(A, B, Q, R, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _scalar(a: float, b: float, q: float, r: float, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``_scalar_recursion`` through the memo."""
+    a, b, q, r = float(a), float(b), float(q), float(r)
+    return _memoized((struct.pack("4d", a, b, q, r), n), _scalar_recursion, a, b, q, r, n)
+
+
+def _matrix_recursion(A, B, Q, R, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cost-to-go matrices P_1..P_n and gains K_1..K_n (u = -K_i x optimal
-    for the i-step problem; K_1 = 0).  The weights enter through their
-    symmetric parts, which alone determine x' Q x and u' R u."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    for the i-step problem; K_1 = 0), stacked and read-only.  The weights
+    enter through their symmetric parts, which alone determine x' Q x and
+    u' R u."""
     if n < 1:
         raise ValueError("need at least one step")
     Q = 0.5 * (Q + Q.T)
@@ -60,7 +101,16 @@ def _matrix_recursion(A, B, Q, R, n: int) -> tuple[list[np.ndarray], list[np.nda
         K = np.linalg.solve(S, B.T @ P @ A)
         gains.append(K)
         mats.append(Q + A.T @ P @ A - A.T @ P @ B @ K)
+    mats, gains = np.array(mats), np.array(gains)
+    mats.flags.writeable = gains.flags.writeable = False
     return mats, gains
+
+
+def _matrix(A, B, Q, R, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_matrix_recursion`` through the memo."""
+    A, B, Q, R = (np.atleast_2d(np.asarray(W, dtype=float)) for W in (A, B, Q, R))
+    key = (A.shape, B.shape, A.tobytes(), B.tobytes(), Q.tobytes(), R.tobytes(), n)
+    return _memoized(key, _matrix_recursion, A, B, Q, R, n)
 
 
 def riccati_values(a: float, b: float, q: float, r: float, n: int) -> list[float]:
@@ -69,21 +119,21 @@ def riccati_values(a: float, b: float, q: float, r: float, n: int) -> list[float
     p_1 = q (one stage, no input needed), then
     p_{k+1} = q + p_k a^2 r / (r + b^2 p_k).
     """
-    return _scalar_recursion(a, b, q, r, n)[0]
+    return list(_scalar(a, b, q, r, n)[0])
 
 
 def riccati_matrices(
     A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, n: int
 ) -> list[np.ndarray]:
     """Matrix cost-to-go P_1..P_n for x' Q x + u' R u stage cost."""
-    return _matrix_recursion(A, B, Q, R, n)[0]
+    return list(_matrix(A, B, Q, R, n)[0].copy())
 
 
 def riccati_gains(
     A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, n: int
 ) -> list[np.ndarray]:
     """Feedback gains K_1..K_n with u = -K_i x optimal for the i-step problem."""
-    return _matrix_recursion(A, B, Q, R, n)[1]
+    return list(_matrix(A, B, Q, R, n)[1].copy())
 
 
 def riccati_value(model, n: int, x) -> float:
@@ -91,11 +141,11 @@ def riccati_value(model, n: int, x) -> float:
     from .models import LqModel, LqScalarModel  # local import to avoid a cycle
 
     if isinstance(model, LqScalarModel):
-        p = riccati_values(model.a, model.b, model.q, model.r, n)[-1]
+        p = _scalar(model.a, model.b, model.q, model.r, n)[0][-1]
         xv = float(np.asarray(x).reshape(-1)[0])
         return p * xv * xv
     if isinstance(model, LqModel):
-        P = riccati_matrices(model.A, model.B, model.Q, model.R, n)[-1]
+        P = _matrix(model.A, model.B, model.Q, model.R, n)[0][-1]
         xv = np.asarray(x, dtype=float).reshape(-1)
         return float(xv @ P @ xv)
     raise TypeError(f"not a linear-quadratic model: {model!r}")
@@ -115,10 +165,10 @@ def gamma_from_riccati(model, n: int) -> GammaSequence:
     if n < 2:
         raise ValueError("need n >= 2 for a usable growth sequence")
     if isinstance(model, LqScalarModel):
-        p = riccati_values(model.a, model.b, model.q, model.r, n)
+        p = _scalar(model.a, model.b, model.q, model.r, n)[0]
         return GammaSequence(tuple(pi / p[0] for pi in p))
     if isinstance(model, LqModel):
-        mats = np.array(riccati_matrices(model.A, model.B, model.Q, model.R, n))
+        mats = _matrix(model.A, model.B, model.Q, model.R, n)[0]
         try:
             L = np.linalg.cholesky(mats[0])
         except np.linalg.LinAlgError as exc:

@@ -6,10 +6,15 @@ the model's type and bounds alone.
 * **Riccati route.**  An ``LqScalarModel`` or ``LqModel`` with no control
   and no state bounds has the N-step optimum in closed form: the backward
   Riccati recursion (:mod:`mpccert.sim.lq`) gives the gains K_1..K_N, and
-  rolling u_k = -K_{N-k} x_k forward is the optimal control sequence.  One
-  O(N) pass, no iterations, and V_N exact to round-off at every horizon
-  and every |x0|, which single shooting on an unstable plant cannot give
-  (its conditioning grows like the open-loop gain to the power 2N).
+  rolling u_k = -K_{N-k} x_k forward is the optimal control sequence.  No
+  iterations, and V_N exact to round-off at every horizon and every |x0|,
+  which single shooting on an unstable plant cannot give (its
+  conditioning grows like the open-loop gain to the power 2N).  The
+  recursion is memoized per plant weights and horizon, so the repeated
+  solves of a closed loop share one; each solve is then one forward pass
+  through the model's ``_period`` (controls, states and stage costs
+  together) and one reverse pass through its ``_period_adjoint`` for
+  ``grad_norm``.
 * **Quasi-Newton route.**  Every other problem is reduced to a program in
   the stacked control vector and handed to L-BFGS-B.  Each objective
   evaluation is one model rollout followed by one reverse pass through it
@@ -18,7 +23,7 @@ the model's type and bounds alone.
   whatever the horizon.
 
 Both routes return the same ``ShootingSolution``, with ``grad_norm`` taken
-from one rollout and one reverse pass at the returned controls.  Two
+from one forward and one reverse pass at the returned controls.  Two
 details of the quasi-Newton route matter for certification work:
 
 * the objective is normalized by the one-step cost at x0, so the
@@ -37,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lq import _scalar_recursion, riccati_gains
+from .lq import _matrix, _scalar
 from .models import LqModel, LqScalarModel, SystemModel
 
 __all__ = [
@@ -99,21 +104,17 @@ class ShootingSolution:
     grad_norm: float
 
 
-def _evaluate(model: SystemModel, x0: np.ndarray, controls: np.ndarray):
-    """One rollout and one reverse pass: (states, costs, objective, gradient).
+def _objective(model: SystemModel, states: np.ndarray, costs: np.ndarray):
+    """The objective of a rollout and its seeds for the reverse pass.
 
     The objective is the stage-cost sum plus the quadratic state-box
-    penalty on x_1..x_N; the gradient is its derivative in the controls,
-    shape (N, control_dim), with the penalty's derivative entering the
-    reverse pass as per-state seeds.  A rollout that leaves the
-    floating-point range gives ``_BARRIER`` and a zero gradient, a wall
-    the line search backs away from.
+    penalty on x_1..x_N; the seeds, shape (N, state_dim), are the penalty's
+    derivative in those states, or None for a model without a box.
+    Returns None where the rollout left the floating-point range.
     """
-    tape: list = []
-    states, costs = model.rollout(x0, controls, tape)
     total = float(np.sum(costs))
     if not math.isfinite(total):
-        return states, costs, _BARRIER, np.zeros_like(controls)
+        return None
     seeds = None
     if model.x_lower is not None or model.x_upper is not None:
         violation = 0.0
@@ -125,6 +126,24 @@ def _evaluate(model: SystemModel, x0: np.ndarray, controls: np.ndarray):
                 seeds += d
         total += model.state_penalty * violation
         seeds *= 2.0 * model.state_penalty
+    return total, seeds
+
+
+def _evaluate(model: SystemModel, x0: np.ndarray, controls: np.ndarray):
+    """One rollout and one reverse pass: (states, costs, objective, gradient).
+
+    The gradient is the objective's derivative in the controls, shape
+    (N, control_dim), with the penalty's derivative entering the reverse
+    pass as per-state seeds (see ``_objective``).  A rollout that leaves
+    the floating-point range gives ``_BARRIER`` and a zero gradient, a wall
+    the line search backs away from.
+    """
+    tape: list = []
+    states, costs = model.rollout(x0, controls, tape)
+    obj = _objective(model, states, costs)
+    if obj is None:
+        return states, costs, _BARRIER, np.zeros_like(controls)
+    total, seeds = obj
     return states, costs, total, model.cost_gradient(states, controls, seeds, tape)
 
 
@@ -161,50 +180,71 @@ def _objective_scale(model: SystemModel, x0: np.ndarray, guess: np.ndarray) -> f
     objective there, and to 1 if that vanishes too.
     """
     try:
-        f0 = float(model.stage_cost(x0, model.u_star))
+        f0 = model._period(x0.tolist(), model.u_star.tolist(), None)[1]
     except (OverflowError, ValueError, FloatingPointError):
         f0 = math.inf
     if not (math.isfinite(f0) and f0 > 1e-30):
-        f0 = _evaluate(model, x0, guess)[2]
+        obj = _objective(model, *model.rollout(x0, guess))
+        f0 = _BARRIER if obj is None else obj[0]
     return f0 if (math.isfinite(f0) and f0 > 1e-30) else 1.0
 
 
 def _solve_riccati(problem: ShootingProblem) -> ShootingSolution:
-    """Exact solve of an unbounded LQ problem: roll the Riccati feedback forward."""
+    """Exact solve of an unbounded LQ problem: one forward and one reverse pass.
+
+    The gains come from the memoized recursion of :mod:`mpccert.sim.lq`.
+    The forward pass applies u_k = -K_{N-k} x_k and steps with the model's
+    own ``_period``, so controls, states and stage costs come out together,
+    exactly as ``rollout`` would give them for those controls: once a period
+    leaves the floating-point range the states freeze and the remaining
+    costs are +inf, while the feedback keeps producing controls from the
+    diverged state.  The reverse pass runs the model's ``_period_adjoint``
+    along the same lists for ``grad_norm``; past a blow-up there is none
+    and the gradient counts as zero.
+    """
     _solver_options(problem)  # unknown options are an error on either route
     model = problem.model
     n = problem.horizon
     if isinstance(model, LqScalarModel):
-        gains = _scalar_recursion(model.a, model.b, model.q, model.r, n)[1]
-        a, b = model.a, model.b
-        x = float(problem.x0[0])
-        u = []
-        for k in range(n):
-            u.append(-gains[n - 1 - k] * x)
-            x = a * x + b * u[-1]
-        controls = np.array(u).reshape(n, 1)
+        gains = _scalar(model.a, model.b, model.q, model.r, n)[1]
+        law = lambda K, x: [-K * x[0]]
     else:
-        gains = riccati_gains(model.A, model.B, model.Q, model.R, n)
-        controls = np.empty((n, model.control_dim))
-        x = problem.x0
-        for k in range(n):
-            controls[k] = -(gains[n - 1 - k] @ x)
-            x = model.A @ x + model.B @ controls[k]
-    states, costs, total, grad = _evaluate(model, problem.x0, controls)
-    scale = _objective_scale(model, problem.x0, np.zeros_like(controls))
-    value = float(np.sum(costs))
+        gains = _matrix(model.A, model.B, model.Q, model.R, n)[1]
+        law = lambda K, x: (-(K @ np.array(x))).tolist()
+    x = problem.x0.tolist()
+    xs, us, costs = [x], [], []
+    live = True  # every period so far stayed in the floating-point range
+    for k in range(n):
+        u = law(gains[n - 1 - k], x)
+        x, c = model._period(x, u, None)
+        us.append(u)
+        live = live and math.isfinite(c) and all(map(math.isfinite, x))
+        xs.append(x if live else xs[-1])
+        costs.append(c if live else math.inf)
+    stage_costs = np.array(costs)
+    value = float(stage_costs.sum())
     finite = math.isfinite(value)
+    grad = [0.0]  # all there is when the reverse pass is skipped
+    if finite:
+        lam = [0.0] * model.state_dim
+        for k in range(n - 1, -1, -1):
+            lam, gu = model._period_adjoint(k, xs[k], us[k], xs[k + 1], lam, None)
+            grad += gu
+    # the largest |gradient| entry, NaN if any is NaN, as numpy's max reports it
+    grad_max = math.nan if any(map(math.isnan, grad)) else max(map(abs, grad))
+    controls = np.array(us)
+    scale = _objective_scale(model, problem.x0, np.zeros((n, model.control_dim)))
     return ShootingSolution(
         controls=controls,
-        states=states,
-        stage_costs=np.asarray(costs, dtype=float),
+        states=np.array(xs),
+        stage_costs=stage_costs,
         value=value,
-        objective=total,
+        objective=value if finite else _BARRIER,
         converged=finite,
         iterations=0,
         message="Riccati feedback" if finite else "Riccati feedback: rollout left the floating-point range",
         nfev=1,
-        grad_norm=float(np.max(np.abs(grad))) / scale,
+        grad_norm=grad_max / scale,
     )
 
 

@@ -261,6 +261,7 @@ class TestNetwork:
         assert rec["violations"] == 0
         assert rec["alpha_star"] == pytest.approx(0.0756302521, abs=1e-9)
         assert len(rec["seeds"]) == 3
+        assert [s["all_converged"] for s in rec["seeds"]] == [True, True, True]
 
     def test_long_horizon_campaign_passes_its_audit(self, capsys):
         # at N = 20 single shooting returned V_N off by up to 12x near the
@@ -317,6 +318,48 @@ class TestNetwork:
              "--p", "0.3", "--seeds", "2", "--steps", "10"]
         ) == 1
         assert "not certified" in capsys.readouterr().err
+
+
+def _to_closed_pipe(argv, buffered: bool) -> tuple[int, str]:
+    """Exit status and stderr of the CLI in a child whose stdout is a pipe
+    with its read end already closed (no race with a reader)."""
+    env = _child_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = subprocess.run([sys.executable, "-m", "mpccert.cli", *argv], stdout=w,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(w)
+    return out.returncode, out.stderr
+
+
+class TestClosedPipe:
+    # a buffered stdout fails at the flush, an unbuffered one at the first print
+    @pytest.mark.parametrize("argv, buffered", [
+        (["alpha", "--M", "2", "--N", "4", "--m", "1"], False),
+        (["gamma", "--M", "2", "--length", "5"], True),
+    ])
+    def test_a_reader_that_has_gone_is_not_an_error(self, argv, buffered):
+        assert _to_closed_pipe(argv, buffered) == (0, "")
+
+    def test_the_output_file_is_written_before_stdout_is_tried(self, tmp_path):
+        target = tmp_path / "alpha.json"
+        argv = ["alpha", "--M", "2", "--N", "4", "--m", "1", "--output", str(target)]
+        assert _to_closed_pipe(argv, buffered=False) == (0, "")
+        assert json.loads(target.read_text())["config"]["N"] == 4
+
+    def test_an_unwritable_output_path_still_fails(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["alpha", "--M", "2", "--N", "4", "--m", "1", "--output", str(blocker / "alpha.json")]
+        status, err = _to_closed_pipe(argv, buffered=True)
+        assert status == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestArgumentHandling:

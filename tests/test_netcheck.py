@@ -93,6 +93,19 @@ class TestRunExperiment:
             assert sum(outcome.schedule) == 20
             assert outcome.measured >= report.certificate.alpha_star - 1e-6
 
+    def test_outcomes_say_whether_every_solve_converged(self):
+        # the exact route always converges; one quasi-Newton iteration on a
+        # bounded plant does not, and the campaign record says so
+        exact = run_network_experiment(NetworkExperiment(lq_scalar(), 6, 3, 0.3, 2, 10))
+        assert [o.all_converged for o in exact.outcomes] == [True, True]
+        bounded = lq_scalar()
+        bounded.u_lower = np.array([-1.5])
+        exp = NetworkExperiment(bounded, 6, 3, 0.3, 2, 10, solver_options={"maxiter": 1})
+        report = run_network_experiment(exp)
+        assert [o.all_converged for o in report.outcomes] == [False, False]
+        assert [s["all_converged"] for s in report.to_record()["seeds"]] == [False, False]
+        assert report.to_json() == run_network_experiment(exp).to_json()
+
     def test_refuses_uncertified_configuration(self):
         exp = NetworkExperiment(lq_scalar(), 3, 2, 0.3, 2, 10)
         with pytest.raises(ValueError, match="not certified"):
@@ -136,7 +149,7 @@ class TestReport:
         assert rec["alpha_profile"] == [[m, a] for m, a in report.certificate.profile]
         seed_rec = rec["seeds"][0]
         assert set(seed_rec) == {
-            "seed", "schedule", "updates", "measured_alpha", "violations",
+            "seed", "schedule", "updates", "measured_alpha", "all_converged", "violations",
             "worst_margin", "realized_cost", "cost_bound", "cost_ratio",
         }
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import nonsymmetric_lq
 from mpccert.sim import (
     LqModel,
+    LqScalarModel,
     ShootingProblem,
     lq_double_integrator,
     lq_scalar,
@@ -18,7 +19,7 @@ from mpccert.sim import (
     shift_guess,
     solve_finite_horizon,
 )
-from mpccert.sim import shooting
+from mpccert.sim import lq, shooting
 from mpccert.sim.shooting import _evaluate, _solve_quasi_newton
 
 
@@ -257,6 +258,107 @@ class TestRiccatiRoute:
             qn = _solve_quasi_newton(ShootingProblem(model, 4, x0))
             np.testing.assert_array_equal(sol.controls, qn.controls)
         assert sol.value > riccati_value(boxed, 4, x0)  # the box binds
+
+
+def two_pass_reference(model, n: int, x0: np.ndarray) -> dict:
+    """The exact route's fields built the long way: a fresh recursion's
+    feedback rolled forward with ``model.f``, then one ``_evaluate`` (a second
+    rollout and its reverse pass) at those controls."""
+    controls = np.empty((n, model.control_dim))
+    x = x0
+    if isinstance(model, LqModel):
+        gains = lq._matrix_recursion(model.A, model.B, model.Q, model.R, n)[1]
+        for k in range(n):
+            controls[k] = -(gains[n - 1 - k] @ x)
+            x = model.f(x, controls[k])
+    else:
+        # scalar products, not 1x1 matmuls: those drop the sign of a zero control
+        gains = lq._scalar_recursion(model.a, model.b, model.q, model.r, n)[1]
+        for k in range(n):
+            controls[k] = -gains[n - 1 - k] * x[0]
+            x = model.f(x, controls[k])
+    states, costs, objective, grad = _evaluate(model, x0, controls)
+    value = float(np.sum(costs))
+    # the normalization: the one-step cost at x0, else the idle sequence's objective, else 1
+    scale = model.stage_cost(x0, model.u_star)
+    if not (math.isfinite(scale) and scale > 1e-30):
+        scale = _evaluate(model, x0, np.zeros_like(controls))[2]
+    if not (math.isfinite(scale) and scale > 1e-30):
+        scale = 1.0
+    return {
+        "controls": controls,
+        "states": states,
+        "stage_costs": costs,
+        "value": value,
+        "objective": objective,
+        "converged": math.isfinite(value),
+        "iterations": 0,
+        "nfev": 1,
+        "grad_norm": float(np.max(np.abs(grad))) / scale,
+    }
+
+
+def assert_same_bits(sol, ref: dict, where) -> None:
+    for name, want in ref.items():
+        got = getattr(sol, name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, where)
+            assert got.tobytes() == want.tobytes(), (name, where)
+        elif isinstance(want, float):
+            assert type(got) is float and got.hex() == want.hex(), (name, where, got, want)
+        else:
+            assert got == want, (name, where)
+
+
+class TestExactRouteBitIdentity:
+    """The one-pass exact route returns, bit for bit, what the feedback
+    rollout followed by a separate evaluation returns."""
+
+    @pytest.mark.parametrize("make", [lq_scalar, lq_double_integrator, nonsymmetric_lq])
+    def test_every_field_matches_the_two_pass_reference(self, make):
+        model = make()
+        rng = np.random.default_rng(7)
+        # below |x0| ~ 1e-15 the one-step cost falls under the scale's floor
+        # and the scale comes from the idle rollout instead
+        scales = (1.0, 1e-3, 1e-12, 1e-16, 0.0)
+        for n in range(2, 61):
+            x0 = scales[n % 5] * rng.uniform(-2.0, 2.0, model.state_dim)
+            sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+            assert_same_bits(sol, two_pass_reference(model, n, x0), (n, x0))
+
+    @pytest.mark.parametrize("make", [lq_scalar, lq_double_integrator, nonsymmetric_lq])
+    def test_overflow_matches_the_two_pass_reference(self, make):
+        # 1e200: the first stage cost overflows; 1e150: the states grow until
+        # a later period leaves the range, and the feedback keeps producing
+        # non-finite controls from the diverged state
+        model = make()
+        converged = []
+        with np.errstate(all="ignore"):
+            for n in (2, 4, 30, 60):
+                for lead in (1e200, 1e150, -1e160):
+                    x0 = np.full(model.state_dim, lead)
+                    sol = solve_finite_horizon(ShootingProblem(model, n, x0))
+                    assert_same_bits(sol, two_pass_reference(model, n, x0), (n, lead))
+                    converged.append(sol.converged)
+        assert not any(converged[:1]) and not all(converged)
+
+    def test_a_period_that_overflows_only_its_next_state(self):
+        # the last period's cost is finite but its next state is not, so the
+        # rollout freezes the last state and counts an infinite cost
+        model = LqScalarModel(a=1e160, b=1.0, q=1.0, r=1.0)
+        x0 = np.array([1e-10])
+        sol = solve_finite_horizon(ShootingProblem(model, 2, x0))
+        assert_same_bits(sol, two_pass_reference(model, 2, x0), "last period")
+        assert not sol.converged and math.isinf(sol.stage_costs[-1])
+
+    def test_tiny_start_whose_idle_rollout_overflows(self):
+        # the scale falls back to the zero sequence's objective, which is the
+        # overflow barrier here, while the feedback loop itself stays finite
+        model = LqScalarModel(a=1e100, b=1.0, q=1.0, r=1.0)
+        x0 = np.array([1e-16])
+        sol = solve_finite_horizon(ShootingProblem(model, 3, x0))
+        assert sol.converged
+        assert_same_bits(sol, two_pass_reference(model, 3, x0), "idle overflow")
 
 
 class TestPendulumShooting:
