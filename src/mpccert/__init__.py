@@ -23,15 +23,10 @@ from .controllability import (
 from .certificate import (
     CertificateQuery,
     CertificateResult,
-    LinearProgram,
-    LpError,
-    LpSolution,
     alpha_closed_form,
     alpha_lp,
-    build_lp,
     certificate,
     max_alpha_over_m,
-    solve_lp,
 )
 from .analysis import (
     HorizonResult,
@@ -69,15 +64,10 @@ __all__ = [
     "gamma_to_csv",
     "CertificateQuery",
     "CertificateResult",
-    "LinearProgram",
-    "LpError",
-    "LpSolution",
     "alpha_closed_form",
     "alpha_lp",
-    "build_lp",
     "certificate",
     "max_alpha_over_m",
-    "solve_lp",
     "HorizonResult",
     "HorizonSearchError",
     "RegionGrid",

@@ -1,6 +1,7 @@
 """Shared output conventions: 12-significant-digit floats, CSV tables, JSON-safe records."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -9,7 +10,7 @@ from typing import Any, Iterable, Optional, Union
 
 import numpy as np
 
-__all__ = ["fmt12", "round12", "write_csv", "json_ready", "dumps_stable"]
+__all__ = ["fmt12", "round12", "write_csv", "write_text", "json_ready", "dumps_stable"]
 
 
 def fmt12(x: float) -> str:
@@ -40,7 +41,25 @@ def write_csv(
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="ascii")
+        write_text(path, text)
+
+
+def write_text(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII, making missing parent directories
+    at write time; if the write raises, the ones made are removed again."""
+    path = Path(path)
+    made = [d for d in path.parents if not d.exists()]  # innermost first
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="ascii")
+    except BaseException:
+        if made:  # then a partial file is new too
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def json_ready(obj: Any) -> Any:

@@ -52,7 +52,9 @@ least at the largest r_m, and
 beside the closed form's 1 - ratio(m+1..N) * ratio(N-m+1..N).  A
 gamma_i = 1 makes a factor 0 and alpha = 1, as in the closed form.  The
 general-purpose :func:`solve_lp` (HiGHS, imported on first use) is kept
-as an independent check of the recursion; no certificate calls it.
+as an independent check of the recursion; no certificate calls it.  The
+LP names are the tests' oracle, not exported by :mod:`mpccert`; they move
+to ``tests/`` once the benchmark stops tracing them by name.
 """
 from __future__ import annotations
 

@@ -23,11 +23,11 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._output import dumps_stable, fmt12
+from ._output import dumps_stable, fmt12, write_text
 from .analysis import (
     alpha_profile_m,
     constant_family,
@@ -43,20 +43,14 @@ from .analysis import (
     stability_region,
 )
 from .certificate import CLOSED_FORM, LINEAR_PROGRAM, CertificateQuery, certificate
-from .controllability import (
-    GammaSequence,
-    constant_gamma,
-    gamma_from_csv,
-    gamma_from_exponential,
-    gamma_to_csv,
-)
+from .controllability import GammaSequence, gamma_from_csv, gamma_to_csv
 from .netcheck import NetworkExperiment, run_network_experiment
 from .sim.loop import constant_schedule, measured_alpha, mpc_run, trace_to_csv
 from .sim.lq import gamma_from_riccati
-from .sim.models import MODEL_NAMES, LqModel, LqScalarModel, model_by_name
+from .sim.models import MODEL_NAMES, SystemModel, model_by_name
 
-# models with intrinsic (Riccati) growth bounds, which a campaign certifies from
-_NETWORK_MODELS = ("lq-scalar", "lq-double-integrator")
+# models with intrinsic (Riccati) growth bounds, for campaigns and certificates
+_RICCATI_MODELS = ("lq-scalar", "lq-double-integrator")
 
 OUTDIR_ENV = "MPCCERT_OUTDIR"
 
@@ -73,7 +67,6 @@ def _resolve_output(path: Optional[str]) -> Optional[Path]:
     base = os.environ.get(OUTDIR_ENV)
     if base and not p.is_absolute():
         p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -89,38 +82,37 @@ def _config_line(cfg: dict) -> str:
     return " ".join(parts)
 
 
-def _add_gamma_source(p: argparse.ArgumentParser, with_length: bool = False) -> None:
+def _add_gamma_source(p: argparse.ArgumentParser, csv: bool = True) -> None:
     g = p.add_argument_group("growth-bound source (choose one)")
     g.add_argument("--C", type=float, help="exponential bound: overshoot C >= 1")
     g.add_argument("--sigma", type=float, help="exponential bound: decay rate in (0,1)")
     g.add_argument("--M", type=float, help="constant bound gamma_i = M")
-    g.add_argument("--gamma-csv", type=str, help="CSV file with header i,gamma")
-    if with_length:
-        g.add_argument("--length", type=int, help="number of entries to generate")
+    if csv:
+        g.add_argument("--gamma-csv", type=str, help="CSV file with header i,gamma")
 
 
-def _gamma_from_args(args, n: int) -> tuple[GammaSequence, dict]:
-    """Build the sequence named by the flags, at least n entries long."""
-    sources = [args.C is not None or args.sigma is not None, args.M is not None,
-               args.gamma_csv is not None]
-    if sum(sources) != 1:
-        raise ValueError("specify exactly one of --C/--sigma, --M, or --gamma-csv")
-    if args.C is not None or args.sigma is not None:
-        if args.C is None or args.sigma is None:
-            raise ValueError("--C and --sigma must be given together")
-        return gamma_from_exponential(args.C, args.sigma, n), {"C": args.C, "sigma": args.sigma}
+def _gamma_family(args) -> tuple[Callable[[int], GammaSequence], dict]:
+    """The one growth-bound source the flags name, as a family N -> gamma_1..gamma_N,
+    and its config echo.  A CSV file gives its whole sequence for every N; the
+    certificate, profile or truncation it feeds rejects an N beyond its end."""
+    csv = vars(args).get("gamma_csv")  # `horizon` takes no CSV
+    if (args.C is not None or args.sigma is not None) + (args.M is not None) + (csv is not None) != 1:
+        flags = "--C/--sigma, --M, or --gamma-csv" if "gamma_csv" in vars(args) else "--C/--sigma or --M"
+        raise ValueError(f"specify exactly one of {flags}")
     if args.M is not None:
-        return constant_gamma(args.M, n), {"M": args.M}
-    gam = gamma_from_csv(args.gamma_csv)
-    if gam.n < n:
-        raise ValueError(f"{args.gamma_csv} provides {gam.n} bounds but N = {n} are needed")
-    return gam, {"gamma_csv": args.gamma_csv}
+        return constant_family(args.M), {"M": args.M}
+    if csv is not None:
+        gam = gamma_from_csv(csv)
+        return (lambda n: gam), {"gamma_csv": csv}
+    if args.C is None or args.sigma is None:
+        raise ValueError("--C and --sigma must be given together")
+    return exponential_family(args.C, args.sigma), {"C": args.C, "sigma": args.sigma}
 
 
 def _emit_json(record: dict, out: Optional[Path]) -> None:
     text = dumps_stable(record)
     if out is not None:  # first: a reader closing stdout early must not lose the file
-        out.write_text(text + "\n", encoding="ascii")
+        write_text(out, text + "\n")
     print(text)
 
 
@@ -128,7 +120,8 @@ def _emit_json(record: dict, out: Optional[Path]) -> None:
 
 
 def _cmd_alpha(args) -> int:
-    gamma, src = _gamma_from_args(args, args.N)
+    family, src = _gamma_family(args)
+    gamma = family(args.N)
     method = LINEAR_PROGRAM if args.exact else CLOSED_FORM
     res = certificate(CertificateQuery(gamma, args.N, args.m), method)
     record = res.to_record()
@@ -140,8 +133,8 @@ def _cmd_alpha(args) -> int:
 def _cmd_gamma(args) -> int:
     if args.length is None:
         raise ValueError("--length is required")
-    gamma, src = _gamma_from_args(args, args.length)
-    gamma = gamma.truncated(args.length)
+    family, src = _gamma_family(args)
+    gamma = family(args.length).truncated(args.length)
     out = _resolve_output(args.output)
     gamma_to_csv(gamma, out)
     if out is not None:
@@ -150,7 +143,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    gamma, src = _gamma_from_args(args, args.N)
+    family, src = _gamma_family(args)
+    gamma = family(args.N)
     method = LINEAR_PROGRAM if args.exact else CLOSED_FORM
     prof = alpha_profile_m(gamma, args.N, method)
     cfg = {**src, "N": args.N, "method": method}
@@ -216,15 +210,8 @@ def _cmd_horizon(args) -> int:
         policy = "half"
     else:
         policy = int(args.policy)
-    if args.M is not None:
-        factory = constant_family(args.M)
-        src = {"M": args.M}
-    elif args.C is not None and args.sigma is not None:
-        factory = exponential_family(args.C, args.sigma)
-        src = {"C": args.C, "sigma": args.sigma}
-    else:
-        raise ValueError("specify --M or both --C and --sigma")
-    res = minimal_horizon(factory, policy, n_max=args.N_max)
+    family, src = _gamma_family(args)
+    res = minimal_horizon(family, policy, n_max=args.N_max)
     record = {
         "config": {**src, "policy": args.policy, "N_max": args.N_max},
         "N_hat": res.n_hat,
@@ -240,13 +227,20 @@ def _cmd_horizon(args) -> int:
     return 0
 
 
-def _default_epsilon(model_name: str) -> float:
-    # the pendulum reaches practical stability only; the scalar chain is exact
-    return 1e-5 if model_name == "pendulum" else 0.0
+def _add_loop_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--x0", type=str, help="comma-separated initial state")
+    p.add_argument("--startup", type=int, help="classical MPC steps before the audited phase")
+    p.add_argument("--epsilon", type=float, help="practical-stability truncation level")
 
 
-def _default_startup(model_name: str) -> int:
-    return 20 if model_name == "pendulum" else 0
+def _loop_args(args, model: SystemModel) -> tuple[np.ndarray, int, float]:
+    """``--x0``, ``--startup`` and ``--epsilon``, with each model's defaults."""
+    # the pendulum needs a warm-up and is practically stable only; LQ plants are exact
+    pendulum = model.name == "pendulum"
+    x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else model.default_x0
+    startup = args.startup if args.startup is not None else (20 if pendulum else 0)
+    epsilon = args.epsilon if args.epsilon is not None else (1e-5 if pendulum else 0.0)
+    return x0, startup, epsilon
 
 
 def _cmd_simulate(args) -> int:
@@ -257,9 +251,7 @@ def _cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps {args.steps} must be >= 1")
     model = model_by_name(args.model)
-    x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else model.default_x0
-    startup = args.startup if args.startup is not None else _default_startup(args.model)
-    epsilon = args.epsilon if args.epsilon is not None else _default_epsilon(args.model)
+    x0, startup, epsilon = _loop_args(args, model)
     sched = constant_schedule(args.m, (args.steps + args.m - 1) // args.m)
     solver_options = {}
     if args.maxiter is not None:
@@ -287,7 +279,7 @@ def _cmd_simulate(args) -> int:
         record["value_initial"] = trace.updates[0].value
         record["value_final"] = trace.final_value
         record["realized_cost"] = float(np.sum(trace.stage_costs))
-        if isinstance(model, (LqScalarModel, LqModel)):
+        if args.model in _RICCATI_MODELS:
             gam = gamma_from_riccati(model, args.N)
             record["certificate_alpha"] = certificate(
                 CertificateQuery(gam, args.N, args.m), CLOSED_FORM
@@ -301,10 +293,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_network(args) -> int:
     model = model_by_name(args.model)
-    x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else None
-    solver_options = {}
-    if args.maxiter is not None:
-        solver_options["maxiter"] = args.maxiter
+    x0, startup, epsilon = _loop_args(args, model)
     exp = NetworkExperiment(
         model=model,
         horizon=args.N,
@@ -314,14 +303,9 @@ def _cmd_network(args) -> int:
         steps=args.steps,
         x0=x0,
         base_seed=args.base_seed,
-        startup=args.startup if args.startup is not None else _default_startup(args.model),
-        solver_options=solver_options,
+        startup=startup,
     )
-    report = run_network_experiment(
-        exp,
-        audit_alpha=args.audit_alpha,
-        epsilon=args.epsilon if args.epsilon is not None else _default_epsilon(args.model),
-    )
+    report = run_network_experiment(exp, audit_alpha=args.audit_alpha, epsilon=epsilon)
     record = report.to_record()
     record["config"] = {
         "model": args.model,
@@ -357,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("gamma", help="construct growth-bound sequences as CSV")
-    _add_gamma_source(p, with_length=True)
+    _add_gamma_source(p)
+    p.add_argument("--length", type=int, help="number of entries to generate")
     p.add_argument("--output", type=str, help="CSV destination (stdout if omitted)")
     p.set_defaults(handler=_cmd_gamma)
 
@@ -378,9 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("horizon", help="minimal stabilizing horizon for a bound family")
-    p.add_argument("--M", type=float, help="constant bound")
-    p.add_argument("--C", type=float, help="exponential overshoot")
-    p.add_argument("--sigma", type=float, help="exponential decay rate")
+    _add_gamma_source(p, csv=False)
     p.add_argument("--policy", type=str, default="1",
                    help="control-horizon policy: integer m, 'best', or 'half'")
     p.add_argument("--N-max", type=int, default=600)
@@ -394,25 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--x0", type=str, help="comma-separated initial state")
-    p.add_argument("--startup", type=int, help="classical MPC steps before the audited phase")
-    p.add_argument("--epsilon", type=float, help="practical-stability truncation level")
+    _add_loop_flags(p)
     p.add_argument("--maxiter", type=int, help="optimizer iteration cap per solve")
     p.add_argument("--output", type=str, help="trace CSV destination")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("network", help="seeded dropout campaign with Lyapunov audit")
-    p.add_argument("--model", choices=_NETWORK_MODELS, required=True)
+    p.add_argument("--model", choices=_RICCATI_MODELS, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m-star", type=int, required=True, help="worst tolerated update gap")
     p.add_argument("--p", type=float, required=True, help="per-step dropout probability")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--x0", type=str)
-    p.add_argument("--startup", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--maxiter", type=int)
+    _add_loop_flags(p)
     p.add_argument("--audit-alpha", type=float,
                    help="audit against this index instead of alpha_star (falsification probe)")
     p.add_argument("--output", type=str)

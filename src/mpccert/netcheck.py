@@ -21,7 +21,7 @@ from .certificate import _alpha_profile
 from .controllability import GammaSequence
 from .sim.loop import LyapunovAudit, dropout_schedule, measured_alpha, mpc_run, verify_relaxed_lyapunov
 from .sim.lq import gamma_from_riccati
-from .sim.models import LqModel, LqScalarModel, SystemModel
+from .sim.models import SystemModel
 
 __all__ = [
     "UpToCertificate",
@@ -168,28 +168,20 @@ class NetworkReport:
         return dumps_stable(self.to_record())
 
 
-def _default_gamma(model: SystemModel, horizon: int) -> GammaSequence:
-    if isinstance(model, (LqScalarModel, LqModel)):
-        return gamma_from_riccati(model, horizon)
-    raise ValueError(
-        f"no intrinsic growth bounds for model {model.name!r}; pass gamma explicitly"
-    )
-
-
 def run_network_experiment(
     exp: NetworkExperiment,
     gamma: Optional[GammaSequence] = None,
     *,
     audit_alpha: Optional[float] = None,
-    tol: float = 1e-6,
     epsilon: float = 0.0,
 ) -> NetworkReport:
     """Certify, simulate each seed, audit every window.
 
-    ``tol`` is the audit's relative tolerance (see
-    :func:`~mpccert.sim.loop.verify_relaxed_lyapunov`): a window violates
-    the relaxed Lyapunov inequality when its margin falls below ``-tol``
-    times the value V_N at the window's start.
+    Each window is audited by :func:`~mpccert.sim.loop.verify_relaxed_lyapunov`
+    at its default relative tolerance.
+
+    ``gamma`` defaults to the model's Riccati growth bounds, which only LQ
+    models have (:func:`~mpccert.sim.lq.gamma_from_riccati`).
 
     The experiment is admissible only if alpha_star > 0 — a nonpositive
     certificate means the dropout level is not covered by the theory and
@@ -198,7 +190,7 @@ def run_network_experiment(
     way to confirm the audit reports violations when it should.
     """
     if gamma is None:
-        gamma = _default_gamma(exp.model, exp.horizon)
+        gamma = gamma_from_riccati(exp.model, exp.horizon)
     cert = certify_up_to(gamma, exp.horizon, exp.m_star)
     if not cert.valid:
         raise ValueError(
@@ -221,7 +213,7 @@ def run_network_experiment(
             startup=exp.startup,
             solver_options=exp.solver_options,
         )
-        audit = verify_relaxed_lyapunov(trace, alpha_check, tol=tol)
+        audit = verify_relaxed_lyapunov(trace, alpha_check)
         outcomes.append(
             SeedOutcome(
                 seed=seed,

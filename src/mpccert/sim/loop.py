@@ -161,7 +161,6 @@ def mpc_run(
     *,
     startup: int = 0,
     solver_options: Optional[dict] = None,
-    guess: Optional[np.ndarray] = None,
 ) -> ClosedLoopTrace:
     """Run the multi-step receding-horizon loop for ``steps`` applied moves.
 
@@ -185,7 +184,7 @@ def mpc_run(
         )
     opts = dict(solver_options or {})
     x = np.asarray(x0, dtype=float).reshape(model.state_dim)
-    warm = guess
+    warm: Optional[np.ndarray] = None
 
     startup_states: Optional[np.ndarray] = None
     startup_costs: Optional[np.ndarray] = None

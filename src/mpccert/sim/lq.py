@@ -7,6 +7,10 @@ the largest generalized eigenvalue of (P_i, P_1).  These sequences feed the
 certificates, and the gains K_i drive the exact solve of
 :func:`mpccert.sim.shooting.solve_finite_horizon` on unbounded LQ plants.
 
+Only this module tells LQ plants apart: one dispatcher on the model feeds
+``riccati_value`` and ``gamma_from_riccati`` (``ValueError`` for any other
+model) and ``_feedback_law``, the exact route's law (None: quasi-Newton).
+
 A campaign asks for the same recursion many times: once for its growth
 bounds and once per update, always with the same plant weights and
 horizon.  Each recursion (scalar and matrix) therefore runs once per
@@ -30,6 +34,7 @@ import threading
 import numpy as np
 
 from ..controllability import GammaSequence
+from .models import LqModel, LqScalarModel
 
 __all__ = [
     "riccati_values",
@@ -136,19 +141,21 @@ def riccati_gains(
     return list(_matrix(A, B, Q, R, n)[1].copy())
 
 
+def _recursion(model, n: int):
+    """The one dispatcher on the model: (values, gains) of its memoized recursion,
+    float tuples for an ``LqScalarModel``, stacked arrays for an ``LqModel``."""
+    if isinstance(model, LqScalarModel):
+        return _scalar(model.a, model.b, model.q, model.r, n)
+    if isinstance(model, LqModel):
+        return _matrix(model.A, model.B, model.Q, model.R, n)
+    raise ValueError(f"no intrinsic growth bounds for model {model.name!r} (not LQ); pass gamma explicitly")
+
+
 def riccati_value(model, n: int, x) -> float:
     """Exact V_n(x) for an LQ model (scalar or matrix)."""
-    from .models import LqModel, LqScalarModel  # local import to avoid a cycle
-
-    if isinstance(model, LqScalarModel):
-        p = _scalar(model.a, model.b, model.q, model.r, n)[0][-1]
-        xv = float(np.asarray(x).reshape(-1)[0])
-        return p * xv * xv
-    if isinstance(model, LqModel):
-        P = _matrix(model.A, model.B, model.Q, model.R, n)[0][-1]
-        xv = np.asarray(x, dtype=float).reshape(-1)
-        return float(xv @ P @ xv)
-    raise TypeError(f"not a linear-quadratic model: {model!r}")
+    P = np.atleast_2d(_recursion(model, n)[0][-1])
+    xv = np.asarray(x, dtype=float).reshape(-1)
+    return float(xv @ P @ xv)
 
 
 def gamma_from_riccati(model, n: int) -> GammaSequence:
@@ -160,22 +167,28 @@ def gamma_from_riccati(model, n: int) -> GammaSequence:
     the largest eigenvalue of L^-1 P_i L^-T, taken for all i in one stacked
     symmetric eigensolve; sym(Q) must therefore be positive definite.
     """
-    from .models import LqModel, LqScalarModel
-
-    if n < 2:
-        raise ValueError("need n >= 2 for a usable growth sequence")
-    if isinstance(model, LqScalarModel):
-        p = _scalar(model.a, model.b, model.q, model.r, n)[0]
-        return GammaSequence(tuple(pi / p[0] for pi in p))
-    if isinstance(model, LqModel):
-        mats = _matrix(model.A, model.B, model.Q, model.R, n)[0]
+    values = _recursion(model, n)[0]
+    if isinstance(values, tuple):
+        top = [p / values[0] for p in values]
+    else:
         try:
-            L = np.linalg.cholesky(mats[0])
+            L = np.linalg.cholesky(values[0])
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"growth bounds need sym(Q) positive definite: {exc}") from exc
         Li = np.linalg.inv(L)
-        top = np.linalg.eigvalsh(Li @ mats @ Li.T)[:, -1]
-        # the sequence is monotone in exact arithmetic; clamp eigensolver
-        # round-off so construction never rejects
-        return GammaSequence(tuple(np.maximum.accumulate(np.maximum(top, 1.0)).tolist()))
-    raise TypeError(f"not a linear-quadratic model: {model!r}")
+        top = np.linalg.eigvalsh(Li @ values @ Li.T)[:, -1]
+    # the sequence is monotone in exact arithmetic; clamp round-off (the
+    # eigensolver's, a converged scalar recursion's) so construction never rejects
+    return GammaSequence(tuple(np.maximum.accumulate(np.maximum(top, 1.0)).tolist()))
+
+
+def _feedback_law(model, n: int):
+    """The optimal feedback (k, x) -> u_k = -K_{n-k} x of an unbounded LQ
+    plant on float lists, or None for any other problem."""
+    bounds = (model.u_lower, model.u_upper, model.x_lower, model.x_upper)
+    if not isinstance(model, (LqScalarModel, LqModel)) or any(b is not None for b in bounds):
+        return None
+    gains = _recursion(model, n)[1]
+    if isinstance(gains, tuple):
+        return lambda k, x: [-gains[n - 1 - k] * x[0]]
+    return lambda k, x: (-(gains[n - 1 - k] @ np.array(x))).tolist()

@@ -252,7 +252,6 @@ class LqModel(SystemModel):
         self.A, self.B, self.Q, self.R = A, B, Q, R
         # the cost's derivatives: Q and R need not be symmetric
         self._Q2, self._R2 = Q + Q.T, R + R.T
-        self.default_x0 = np.zeros(self.state_dim)
         self.default_x0[0] = 1.0
 
     def _period(self, x, u, tape):
@@ -353,19 +352,23 @@ class PendulumModel(SystemModel):
         h2 = 0.5 * h
         uu = 1e-4 * u * u
         x1, x2, x3, x4 = x
-        # running cost at the start node: Simpson endpoint, weight 1
-        sa, ca, cv = sin(x1), cos(x1), cos(x2)
-        inner = (
-            3.51 * sa * sa
-            + 4.82 * x2 * sa
-            + 2.31 * x2 * x2
-            + 0.01 * x3 * x3
-            + 2.0 * ((1.0 - ca) * (1.0 + cv * cv)) ** 2
-            + 0.1 * x4 * x4
-        )
-        acc = uu + inner * inner
+        acc = 0.0
         n_sub = self.substeps
-        for i in range(1, n_sub + 1):
+        for i in range(n_sub + 1):
+            # running cost at node i, with Simpson weight 1, 4, 2, ..., 4, 1
+            sa, ca, cv = sin(x1), cos(x1), cos(x2)
+            inner = (
+                3.51 * sa * sa
+                + 4.82 * x2 * sa
+                + 2.31 * x2 * x2
+                + 0.01 * x3 * x3
+                + 2.0 * ((1.0 - ca) * (1.0 + cv * cv)) ** 2
+                + 0.1 * x4 * x4
+            )
+            w = uu + inner * inner
+            acc += w if i == 0 or i == n_sub else (2.0 if i % 2 == 0 else 4.0) * w
+            if i == n_sub:
+                break
             # RK4 stages of the angular acceleration; the cart components
             # are trivially (x4, u)
             t = x1 + pi
@@ -397,18 +400,6 @@ class PendulumModel(SystemModel):
             x1 += h * (x2 + 2.0 * (m2 + n2) + p2) / 6.0
             x2 += h * (b2 + 2.0 * (c2 + d2) + e2) / 6.0
             x4 += h * u
-            # running cost at the substep's end node
-            sa, ca, cv = sin(x1), cos(x1), cos(x2)
-            inner = (
-                3.51 * sa * sa
-                + 4.82 * x2 * sa
-                + 2.31 * x2 * x2
-                + 0.01 * x3 * x3
-                + 2.0 * ((1.0 - ca) * (1.0 + cv * cv)) ** 2
-                + 0.1 * x4 * x4
-            )
-            w = uu + inner * inner
-            acc += (2.0 if i % 2 == 0 else 4.0) * w if i < n_sub else w
         return [x1, x2, x3, x4], acc * h / 3.0
 
     def _sweep_adjoint(self, steps: list, end: list, u: float, lam: list) -> tuple[list, float]:

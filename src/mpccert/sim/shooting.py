@@ -1,20 +1,20 @@
 """Finite-horizon optimal control: exact for LQ plants, direct shooting otherwise.
 
-``solve_finite_horizon`` is the one entry point; it picks the route from
-the model's type and bounds alone.
+``solve_finite_horizon`` is the one entry point.  It asks
+:mod:`mpccert.sim.lq` for the problem's optimal feedback law; a problem
+with one takes the Riccati route, every other the quasi-Newton route.
 
-* **Riccati route.**  An ``LqScalarModel`` or ``LqModel`` with no control
-  and no state bounds has the N-step optimum in closed form: the backward
-  Riccati recursion (:mod:`mpccert.sim.lq`) gives the gains K_1..K_N, and
-  rolling u_k = -K_{N-k} x_k forward is the optimal control sequence.  No
-  iterations, and V_N exact to round-off at every horizon and every |x0|,
-  which single shooting on an unstable plant cannot give (its
-  conditioning grows like the open-loop gain to the power 2N).  The
-  recursion is memoized per plant weights and horizon, so the repeated
-  solves of a closed loop share one; each solve is then one forward pass
-  through the model's ``_period`` (controls, states and stage costs
-  together) and one reverse pass through its ``_period_adjoint`` for
-  ``grad_norm``.
+* **Riccati route.**  An LQ plant with no control and no state bounds has
+  the N-step optimum in closed form: the backward Riccati recursion gives
+  the gains K_1..K_N, and rolling the law u_k = -K_{N-k} x_k forward is
+  the optimal control sequence.  No iterations, and V_N exact to
+  round-off at every horizon and every |x0|, which single shooting on an
+  unstable plant cannot give (its conditioning grows like the open-loop
+  gain to the power 2N).  The recursion is memoized per plant weights and
+  horizon, so the repeated solves of a closed loop share one; each solve
+  is then one forward pass through the model's ``_period`` (controls,
+  states and stage costs together) and one reverse pass through its
+  ``_period_adjoint`` for ``grad_norm``.
 * **Quasi-Newton route.**  Every other problem is reduced to a program in
   the stacked control vector and handed to L-BFGS-B.  Each objective
   evaluation is one model rollout followed by one reverse pass through it
@@ -42,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lq import _matrix, _scalar
-from .models import LqModel, LqScalarModel, SystemModel
+from .lq import _feedback_law
+from .models import SystemModel
 
 __all__ = [
     "ShootingProblem",
@@ -150,14 +150,12 @@ def _evaluate(model: SystemModel, x0: np.ndarray, controls: np.ndarray):
 def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     """Minimize the N-step cost from ``problem.x0`` over the control sequence.
 
-    Unbounded LQ plants take the exact Riccati route; everything else
-    takes the quasi-Newton route (see the module docstring).
+    A problem with an optimal feedback law (an unbounded LQ plant) takes
+    the exact Riccati route; everything else takes the quasi-Newton route
+    (see the module docstring).
     """
-    model = problem.model
-    exact = isinstance(model, (LqScalarModel, LqModel)) and all(
-        b is None for b in (model.u_lower, model.u_upper, model.x_lower, model.x_upper)
-    )
-    return _solve_riccati(problem) if exact else _solve_quasi_newton(problem)
+    law = _feedback_law(problem.model, problem.horizon)
+    return _solve_quasi_newton(problem) if law is None else _solve_riccati(problem, law)
 
 
 def _solver_options(problem: ShootingProblem) -> dict:
@@ -189,33 +187,27 @@ def _objective_scale(model: SystemModel, x0: np.ndarray, guess: np.ndarray) -> f
     return f0 if (math.isfinite(f0) and f0 > 1e-30) else 1.0
 
 
-def _solve_riccati(problem: ShootingProblem) -> ShootingSolution:
+def _solve_riccati(problem: ShootingProblem, law) -> ShootingSolution:
     """Exact solve of an unbounded LQ problem: one forward and one reverse pass.
 
-    The gains come from the memoized recursion of :mod:`mpccert.sim.lq`.
-    The forward pass applies u_k = -K_{N-k} x_k and steps with the model's
-    own ``_period``, so controls, states and stage costs come out together,
-    exactly as ``rollout`` would give them for those controls: once a period
-    leaves the floating-point range the states freeze and the remaining
-    costs are +inf, while the feedback keeps producing controls from the
-    diverged state.  The reverse pass runs the model's ``_period_adjoint``
-    along the same lists for ``grad_norm``; past a blow-up there is none
-    and the gradient counts as zero.
+    ``law(k, x)`` is the optimal feedback u_k = -K_{N-k} x_k over the
+    memoized gains of :mod:`mpccert.sim.lq`.  The forward pass applies it
+    and steps with the model's own ``_period``, so controls, states and
+    stage costs come out together, exactly as ``rollout`` would give them
+    for those controls: once a period leaves the floating-point range the
+    states freeze and the remaining costs are +inf, while the feedback keeps
+    producing controls from the diverged state.  The reverse pass runs the
+    model's ``_period_adjoint`` along the same lists for ``grad_norm``; past
+    a blow-up there is none and the gradient counts as zero.
     """
     _solver_options(problem)  # unknown options are an error on either route
     model = problem.model
     n = problem.horizon
-    if isinstance(model, LqScalarModel):
-        gains = _scalar(model.a, model.b, model.q, model.r, n)[1]
-        law = lambda K, x: [-K * x[0]]
-    else:
-        gains = _matrix(model.A, model.B, model.Q, model.R, n)[1]
-        law = lambda K, x: (-(K @ np.array(x))).tolist()
     x = problem.x0.tolist()
     xs, us, costs = [x], [], []
     live = True  # every period so far stayed in the floating-point range
     for k in range(n):
-        u = law(gains[n - 1 - k], x)
+        u = law(k, x)
         x, c = model._period(x, u, None)
         us.append(u)
         live = live and math.isfinite(c) and all(map(math.isfinite, x))

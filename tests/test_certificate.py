@@ -16,21 +16,17 @@ from hypothesis import strategies as st
 from mpccert import (
     CertificateQuery,
     GammaSequence,
-    LinearProgram,
-    LpError,
     alpha_closed_form,
     alpha_lp,
-    build_lp,
     certificate,
     check_submultiplicative,
     constant_gamma,
     gamma_from_c_sequence,
     gamma_from_exponential,
     max_alpha_over_m,
-    solve_lp,
 )
 from mpccert.analysis import alpha_profile_m
-from mpccert.certificate import _alpha_lp_profile, _alpha_profile
+from mpccert.certificate import LinearProgram, LpError, _alpha_lp_profile, _alpha_profile, build_lp, solve_lp
 
 from conftest import random_monotone_gamma
 

@@ -49,8 +49,12 @@ class TestAlpha:
         assert rec["performance_bound"] is None
 
     def test_gamma_sources_are_mutually_exclusive(self, capsys):
-        assert main(["alpha", "--C", "3", "--M", "2", "--N", "4", "--m", "1"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for argv in (
+            ["alpha", "--C", "3", "--M", "2", "--N", "4", "--m", "1"],
+            ["horizon", "--M", "2", "--C", "3", "--sigma", "0.5"],
+        ):
+            assert main(argv) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_sigma_requires_c(self, capsys):
         assert main(["alpha", "--sigma", "0.5", "--N", "4", "--m", "1"]) == 1
@@ -226,6 +230,12 @@ class TestSimulate:
         assert rec["value_initial"] == pytest.approx(4.0 * 4.230769230769, rel=1e-6)
 
 
+    @pytest.mark.parametrize("model, startup, epsilon", [("lq-scalar", 0, 0.0), ("pendulum", 20, 1e-5)])
+    def test_unset_loop_flags_take_the_model_defaults(self, capsys, model, startup, epsilon):
+        rec = run_json(capsys, ["simulate", "--model", model, "--N", "2", "--m", "1", "--steps", "1"])
+        assert (rec["config"]["startup"], rec["config"]["epsilon"]) == (startup, epsilon)
+        assert rec["failure"] is None
+
     @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--m", "-1"), ("--steps", "0")])
     def test_nonpositive_counts_are_rejected(self, capsys, flag, value):
         argv = {"--m": "2", "--steps": "4"}
@@ -364,9 +374,14 @@ class TestClosedPipe:
 
 class TestArgumentHandling:
     def test_unknown_flag_exits_with_usage_error(self):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["alpha", "--M", "2", "--N", "4", "--m", "1", "--bogus"])
-        assert exc_info.value.code == 2
+        for argv in (
+            ["alpha", "--M", "2", "--N", "4", "--m", "1", "--bogus"],
+            # the exact route of an unbounded LQ plant has no iterations to cap
+            ["network", "--model", "lq-scalar", "--N", "6", "--m-star", "3", "--p", "0.3", "--maxiter", "5"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
@@ -378,6 +393,15 @@ class TestArgumentHandling:
         run_json(capsys, ["alpha", "--M", "2", "--N", "4", "--m", "1",
                           "--output", "sub/alpha.json"])
         assert (outdir / "sub" / "alpha.json").exists()
+
+    def test_a_failed_write_leaves_no_directories(self, capsys, tmp_path):
+        # the parents are made at write time, and removed again when the
+        # write fails (here: a file name longer than any file system allows)
+        target = tmp_path / "a" / "b" / ("x" * 300 + ".json")
+        assert main(["alpha", "--M", "2", "--N", "4", "--m", "1", "--output", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "a").exists()
 
     def test_absolute_output_ignores_outdir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MPCCERT_OUTDIR", str(tmp_path / "elsewhere"))

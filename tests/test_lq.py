@@ -4,12 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from conftest import nonsymmetric_lq
 from mpccert import NetworkExperiment, run_network_experiment
 from mpccert.sim import (
     LqModel,
+    LqScalarModel,
     ShootingProblem,
     gamma_from_riccati,
     lq_double_integrator,
@@ -47,6 +50,29 @@ def test_singular_state_weight_is_rejected_by_name():
     model = LqModel([[1.0, 0.1], [0.0, 1.0]], [[0.0], [0.1]], [[1.0, 1.0], [1.0, 1.0]], [[1.0]])
     with pytest.raises(ValueError, match=r"sym\(Q\)"):
         gamma_from_riccati(model, 5)
+
+
+def test_scalar_bounds_survive_a_converged_recursion():
+    # once the recursion has converged, p_16 / p_1 rounds one ulp below
+    # p_15 / p_1; the sequence is nondecreasing in exact arithmetic
+    model = LqScalarModel(-2.83464532054159, 1.556323595614652, 1.660615608335907, 1.0562219778473674)
+    values = gamma_from_riccati(model, 28).values
+    assert len(values) == 28 and values[0] == 1.0
+    assert all(lo <= hi for lo, hi in zip(values, values[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(0.2, 2.0),
+    q=st.floats(0.1, 3.0),
+    r=st.floats(0.1, 3.0),
+    n=st.integers(2, 59),
+)
+def test_scalar_bounds_construct_and_are_nondecreasing(a, b, q, r, n):
+    values = gamma_from_riccati(LqScalarModel(a, b, q, r), n).values
+    assert len(values) == n and values[0] == 1.0
+    assert all(lo <= hi for lo, hi in zip(values, values[1:]))
 
 
 def _calls(fn, run) -> int:

@@ -11,7 +11,7 @@ from mpccert import (
     run_network_experiment,
 )
 from mpccert.controllability import GammaSequence
-from mpccert.sim import gamma_from_riccati, lq_scalar
+from mpccert.sim import gamma_from_riccati, lq_scalar, riccati_value
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +128,13 @@ class TestRunExperiment:
         from mpccert.sim import pendulum_model
 
         exp = NetworkExperiment(pendulum_model(), 6, 2, 0.3, 1, 4)
-        with pytest.raises(ValueError, match="gamma"):
-            run_network_experiment(exp)
+        for call in (
+            lambda: run_network_experiment(exp),
+            lambda: gamma_from_riccati(exp.model, 6),
+            lambda: riccati_value(exp.model, 6, exp.model.default_x0),
+        ):
+            with pytest.raises(ValueError, match="gamma"):
+                call()
 
 
 class TestReport:
