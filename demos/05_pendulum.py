@@ -32,7 +32,7 @@ print("initial one-period cost:",
 # warm-up, re-optimizing every step.
 trace = mpc_run(
     model, 6, constant_schedule(1, 12), x0, 12,
-    startup=4, solver_options={"maxiter": 120},
+    startup=4, maxiter=120,
 )
 print(f"\nwarm-up of 4 steps, then {trace.steps} audited steps")
 print(" n   V_N(x(n))   converged")

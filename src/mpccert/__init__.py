@@ -10,8 +10,6 @@ validate the certificates against actual closed loops — including random
 feedback dropouts (:mod:`~mpccert.sim`, :mod:`~mpccert.netcheck`).
 """
 from .controllability import (
-    CSequence,
-    ExpBound,
     GammaSequence,
     check_submultiplicative,
     constant_gamma,
@@ -53,8 +51,6 @@ from . import sim
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSequence",
-    "ExpBound",
     "GammaSequence",
     "check_submultiplicative",
     "constant_gamma",

@@ -48,6 +48,7 @@ from .netcheck import NetworkExperiment, run_network_experiment
 from .sim.loop import constant_schedule, measured_alpha, mpc_run, trace_to_csv
 from .sim.lq import gamma_from_riccati
 from .sim.models import MODEL_NAMES, SystemModel, model_by_name
+from .sim.shooting import ShootingProblem
 
 # models with intrinsic (Riccati) growth bounds, for campaigns and certificates
 _RICCATI_MODELS = ("lq-scalar", "lq-double-integrator")
@@ -182,6 +183,8 @@ def _cmd_region(args) -> int:
 
 def _cmd_horizon(args) -> int:
     if args.table is not None:
+        if any(v is not None for v in (args.M, args.C, args.sigma, args.policy)):
+            raise ValueError("--table sweeps constant bounds under both policies; drop --M, --C, --sigma and --policy")
         lo, hi, step = args.table
         if not all(map(math.isfinite, args.table)):
             raise ValueError(f"table range {lo} {hi} {step} must be finite")
@@ -203,17 +206,11 @@ def _cmd_horizon(args) -> int:
         print(f"wrote {len(rows)} rows to {out}")
         return 0
 
-    policy: object
-    if args.policy == "best":
-        policy = "best"
-    elif args.policy == "half":
-        policy = "half"
-    else:
-        policy = int(args.policy)
+    policy = 1 if args.policy is None else args.policy
     family, src = _gamma_family(args)
     res = minimal_horizon(family, policy, n_max=args.N_max)
     record = {
-        "config": {**src, "policy": args.policy, "N_max": args.N_max},
+        "config": {**src, "policy": str(policy), "N_max": args.N_max},
         "N_hat": res.n_hat,
         "m": res.m,
         "alpha_at": res.alpha,
@@ -253,12 +250,7 @@ def _cmd_simulate(args) -> int:
     model = model_by_name(args.model)
     x0, startup, epsilon = _loop_args(args, model)
     sched = constant_schedule(args.m, (args.steps + args.m - 1) // args.m)
-    solver_options = {}
-    if args.maxiter is not None:
-        solver_options["maxiter"] = args.maxiter
-    trace = mpc_run(
-        model, args.N, sched, x0, args.steps, startup=startup, solver_options=solver_options
-    )
+    trace = mpc_run(model, args.N, sched, x0, args.steps, startup=startup, maxiter=args.maxiter)
     cfg = {
         "model": args.model,
         "N": args.N,
@@ -323,6 +315,16 @@ def _cmd_network(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _policy(text: str):
+    """``--policy``: 'best', 'half' or an integer control horizon m."""
+    if text in ("best", "half"):
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer m, 'best' or 'half', got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpccert",
@@ -364,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("horizon", help="minimal stabilizing horizon for a bound family")
     _add_gamma_source(p, csv=False)
-    p.add_argument("--policy", type=str, default="1",
-                   help="control-horizon policy: integer m, 'best', or 'half'")
+    p.add_argument("--policy", type=_policy,
+                   help="control-horizon policy: integer m, 'best', or 'half' (default: 1)")
     p.add_argument("--N-max", type=int, default=600)
     p.add_argument("--table", type=float, nargs=3, metavar=("LO", "HI", "STEP"),
                    help="sweep constant bounds and write a CSV table")
@@ -378,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--steps", type=int, required=True)
     _add_loop_flags(p)
-    p.add_argument("--maxiter", type=int, help="optimizer iteration cap per solve")
+    p.add_argument("--maxiter", type=int, default=ShootingProblem.maxiter,
+                   help="optimizer iteration cap per solve (>= 1, default: %(default)s)")
     p.add_argument("--output", type=str, help="trace CSV destination")
     p.set_defaults(handler=_cmd_simulate)
 

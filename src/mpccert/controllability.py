@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,8 +25,6 @@ from ._output import fmt12, write_csv
 
 __all__ = [
     "GammaSequence",
-    "ExpBound",
-    "CSequence",
     "gamma_from_exponential",
     "gamma_from_c_sequence",
     "constant_gamma",
@@ -102,73 +100,48 @@ class GammaSequence:
         return GammaSequence(self.values[:n])
 
 
-@dataclass(frozen=True)
-class ExpBound:
-    """Exponential controllability parameters: overshoot C >= 1, decay sigma in (0,1)."""
-
-    C: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.C) and self.C >= 1.0):
-            raise ValueError(f"overshoot C = {self.C!r} must be finite and >= 1")
-        if not (math.isfinite(self.sigma) and 0.0 < self.sigma < 1.0):
-            raise ValueError(f"decay rate sigma = {self.sigma!r} must lie in (0, 1)")
-
-    def gamma(self, n: int) -> GammaSequence:
-        return gamma_from_exponential(self.C, self.sigma, n)
-
-
-@dataclass(frozen=True)
-class CSequence:
-    """Summable-coefficient description: gamma_i is the partial sum of c_0..c_{i-1}.
-
-    c_0 >= 1 guarantees gamma_1 >= 1; nonnegativity gives monotonicity.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) < 2:
-            raise ValueError("need at least c_0 and c_1")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coefficients must be finite")
-        if vals[0] < 1.0:
-            raise ValueError(f"c_0 = {vals[0]!r} must be >= 1 so that gamma_1 >= 1")
-        for i, v in enumerate(vals):
-            if v < 0.0:
-                raise ValueError(f"c_{i} = {v!r} must be nonnegative")
-
-
 def gamma_from_exponential(C: float, sigma: float, n: int) -> GammaSequence:
     """Growth bounds induced by the decay estimate  beta(r, i) = C * sigma^i * r.
 
-    gamma_i = C * (1 - sigma^i) / (1 - sigma), the i-term geometric partial sum.
+    gamma_i = C * (1 - sigma^i) / (1 - sigma), the i-term geometric partial sum,
+    for an overshoot C >= 1 and a decay rate sigma in (0, 1).
     """
-    bound = ExpBound(C, sigma)  # validates parameters
+    if not (math.isfinite(C) and C >= 1.0):
+        raise ValueError(f"overshoot C = {C!r} must be finite and >= 1")
+    if not (math.isfinite(sigma) and 0.0 < sigma < 1.0):
+        raise ValueError(f"decay rate sigma = {sigma!r} must lie in (0, 1)")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     # accumulate C * sigma^k directly: the closed form (1 - sigma^i)/(1 - sigma)
     # can round gamma_1 below C (and hence below 1) for C near 1
     out = []
     total = 0.0
-    term = bound.C
+    term = float(C)
     for _ in range(n):
         total += term
         out.append(total)
-        term *= bound.sigma
+        term *= sigma
     return GammaSequence(tuple(out))
 
 
-def gamma_from_c_sequence(c: Union[CSequence, Sequence[float]]) -> GammaSequence:
-    """Partial sums gamma_i = sum_{k < i} c_k of a summable coefficient sequence."""
-    if not isinstance(c, CSequence):
-        c = CSequence(tuple(c))
+def gamma_from_c_sequence(c: Sequence[float]) -> GammaSequence:
+    """Partial sums gamma_i = sum_{k < i} c_k of a summable coefficient sequence.
+
+    c_0 >= 1 guarantees gamma_1 >= 1; nonnegativity gives monotonicity.
+    """
+    vals = [float(v) for v in c]
+    if len(vals) < 2:
+        raise ValueError("need at least c_0 and c_1")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("coefficients must be finite")
+    if vals[0] < 1.0:
+        raise ValueError(f"c_0 = {vals[0]!r} must be >= 1 so that gamma_1 >= 1")
+    for i, v in enumerate(vals):
+        if v < 0.0:
+            raise ValueError(f"c_{i} = {v!r} must be nonnegative")
     out = []
     total = 0.0
-    for v in c.values:
+    for v in vals:
         total += v
         out.append(total)
     return GammaSequence(tuple(out))

@@ -11,7 +11,7 @@ that the audit has teeth by re-checking against an inflated index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,7 +82,6 @@ class NetworkExperiment:
     x0: Optional[np.ndarray] = None
     base_seed: int = 0
     startup: int = 0
-    solver_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 1 <= self.m_star <= self.horizon - 1:
@@ -178,16 +177,18 @@ def run_network_experiment(
     """Certify, simulate each seed, audit every window.
 
     Each window is audited by :func:`~mpccert.sim.loop.verify_relaxed_lyapunov`
-    at its default relative tolerance.
+    at its fixed relative tolerance.
 
     ``gamma`` defaults to the model's Riccati growth bounds, which only LQ
     models have (:func:`~mpccert.sim.lq.gamma_from_riccati`).
 
     The experiment is admissible only if alpha_star > 0 — a nonpositive
     certificate means the dropout level is not covered by the theory and
-    the run is refused.  ``audit_alpha`` (default: alpha_star) is the index
-    the audit checks against; passing an inflated value is the supported
-    way to confirm the audit reports violations when it should.
+    the run is refused; so is a seed whose loop diverges, by a
+    ``ValueError`` naming the seed and its failure.  ``audit_alpha``
+    (default: alpha_star) is the index the audit checks against; passing an
+    inflated value is the supported way to confirm the audit reports
+    violations when it should.
     """
     if gamma is None:
         gamma = gamma_from_riccati(exp.model, exp.horizon)
@@ -204,15 +205,9 @@ def run_network_experiment(
     for seed in exp.seeds:
         # enough updates to cover `steps` even if every window is length 1
         sched = dropout_schedule(exp.dropout_p, exp.m_star, exp.steps, seed)
-        trace = mpc_run(
-            exp.model,
-            exp.horizon,
-            sched,
-            x0,
-            exp.steps,
-            startup=exp.startup,
-            solver_options=exp.solver_options,
-        )
+        trace = mpc_run(exp.model, exp.horizon, sched, x0, exp.steps, startup=exp.startup)
+        if trace.failure is not None:
+            raise ValueError(f"seed {seed}: {trace.failure}")
         audit = verify_relaxed_lyapunov(trace, alpha_check)
         outcomes.append(
             SeedOutcome(

@@ -12,7 +12,7 @@ index can be measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -36,6 +36,8 @@ __all__ = [
     "trace_to_csv",
     "TRACE_COLUMNS",
 ]
+
+_AUDIT_TOL = 1e-6  # of verify_relaxed_lyapunov, recorded as LyapunovAudit.tol
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,6 @@ class ClosedLoopTrace:
     updates: tuple[UpdateRecord, ...]
     final_value: Optional[float]
     final_converged: bool
-    schedule: Schedule
     startup_states: Optional[np.ndarray] = None
     startup_costs: Optional[np.ndarray] = None
     failure: Optional[str] = None
@@ -160,7 +161,7 @@ def mpc_run(
     steps: int,
     *,
     startup: int = 0,
-    solver_options: Optional[dict] = None,
+    maxiter: int = ShootingProblem.maxiter,
 ) -> ClosedLoopTrace:
     """Run the multi-step receding-horizon loop for ``steps`` applied moves.
 
@@ -168,8 +169,9 @@ def mpc_run(
     warm the optimizer into the right basin — the audited trace then starts
     from the post-startup state with a meaningful initial guess.  The final
     window is truncated if the schedule overshoots ``steps``; a schedule
-    that cannot cover ``steps``, or whose m* exceeds ``horizon``, is
-    rejected before any solve.
+    that cannot cover ``steps``, or whose m* exceeds ``horizon``, a
+    negative ``startup`` and a non-finite ``x0`` are rejected before any
+    solve.  ``maxiter`` caps the quasi-Newton iterations of every solve.
 
     Solver non-convergence is tolerated (recorded per update); state
     divergence aborts the run and marks the trace as failed.
@@ -182,9 +184,17 @@ def mpc_run(
         raise ValueError(
             f"schedule covers {schedule.total_steps} moves but {steps} were requested"
         )
-    opts = dict(solver_options or {})
+    if startup < 0:
+        raise ValueError(f"startup must be >= 0, got {startup}")
     x = np.asarray(x0, dtype=float).reshape(model.state_dim)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"initial state x0 = {x.tolist()} is not finite")
     warm: Optional[np.ndarray] = None
+
+    def solve(x: np.ndarray, warm: Optional[np.ndarray]) -> ShootingSolution:
+        # solve_finite_horizon is looked up at call time, so a replacement
+        # of this module's name (a recorder, an oracle) sees every solve
+        return solve_finite_horizon(ShootingProblem(model, horizon, x, guess=warm, maxiter=maxiter))
 
     startup_states: Optional[np.ndarray] = None
     startup_costs: Optional[np.ndarray] = None
@@ -193,9 +203,7 @@ def mpc_run(
         s_states = [x.copy()]
         s_costs = []
         for _ in range(startup):
-            sol = solve_finite_horizon(
-                ShootingProblem(model, horizon, x, guess=warm, options=opts)
-            )
+            sol = solve(x, warm)
             try:
                 x, c = model.step(x, sol.controls[0])
             except DivergenceError as exc:
@@ -215,7 +223,7 @@ def mpc_run(
         if applied >= steps:
             break
         m_eff = min(m_k, steps - applied)  # last window may be truncated
-        sol = solve_finite_horizon(ShootingProblem(model, horizon, x, guess=warm, options=opts))
+        sol = solve(x, warm)
         updates.append(
             UpdateRecord(
                 index=k,
@@ -248,7 +256,7 @@ def mpc_run(
     final_value: Optional[float] = None
     final_converged = False
     if failure is None:
-        sol = solve_finite_horizon(ShootingProblem(model, horizon, x, guess=warm, options=opts))
+        sol = solve(x, warm)
         final_value = sol.value
         final_converged = sol.converged
 
@@ -261,7 +269,6 @@ def mpc_run(
         updates=tuple(updates),
         final_value=final_value,
         final_converged=final_converged,
-        schedule=schedule,
         startup_states=startup_states,
         startup_costs=startup_costs,
         failure=failure,
@@ -324,15 +331,13 @@ class LyapunovAudit:
         return not self.violations and self.cost_ok
 
 
-def verify_relaxed_lyapunov(
-    trace: ClosedLoopTrace, alpha: float, tol: float = 1e-6
-) -> LyapunovAudit:
+def verify_relaxed_lyapunov(trace: ClosedLoopTrace, alpha: float) -> LyapunovAudit:
     """Audit a trace against a claimed index alpha > 0.
 
     Checks every update window for V_N decrease of at least alpha times the
-    executed cost, up to ``tol`` relative to the window's opening value
-    V_N(x(sigma(k))), and the accumulated cost against the performance
-    bound V_N(x(0)) / alpha, up to ``tol`` relative to the bound.  Both
+    executed cost, up to ``_AUDIT_TOL`` relative to the window's opening
+    value V_N(x(sigma(k))), and the accumulated cost against the performance
+    bound V_N(x(0)) / alpha, up to ``_AUDIT_TOL`` relative to the bound.  Both
     tests are invariant under scaling all values, so the verdicts do not
     depend on how small V_N has fallen along the loop.  A loop that
     stays at the target spends nothing against a zero bound: its cost
@@ -356,7 +361,7 @@ def verify_relaxed_lyapunov(
         )
         windows.append(chk)
         worst = min(worst, margin)
-        if margin < -tol * rec.value:
+        if margin < -_AUDIT_TOL * rec.value:
             violations.append(chk)
     realized = float(np.sum(trace.stage_costs))
     bound = trace.updates[0].value / alpha
@@ -366,7 +371,7 @@ def verify_relaxed_lyapunov(
         ratio = 0.0 if realized == 0.0 else math.inf
     return LyapunovAudit(
         alpha=alpha,
-        tol=tol,
+        tol=_AUDIT_TOL,
         windows=tuple(windows),
         violations=tuple(violations),
         worst_margin=worst,

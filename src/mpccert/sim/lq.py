@@ -17,7 +17,7 @@ horizon.  Each recursion (scalar and matrix) therefore runs once per
 distinct (weights, N) and is kept in a small memo, keyed on the exact bits
 of the weights and on N and bounded to ``_MEMO_SIZE`` entries, oldest
 dropped first.  The memo holds immutable results (tuples, read-only
-arrays); the public functions hand out copies.
+arrays), so every caller may share them.
 
 Since the exact solve reads this recursion, it is no oracle for that
 route.  The tests keep independent ones: ``tests/test_lq.py`` checks the
@@ -37,9 +37,6 @@ from ..controllability import GammaSequence
 from .models import LqModel, LqScalarModel
 
 __all__ = [
-    "riccati_values",
-    "riccati_matrices",
-    "riccati_gains",
     "riccati_value",
     "gamma_from_riccati",
 ]
@@ -116,29 +113,6 @@ def _matrix(A, B, Q, R, n: int) -> tuple[np.ndarray, np.ndarray]:
     A, B, Q, R = (np.atleast_2d(np.asarray(W, dtype=float)) for W in (A, B, Q, R))
     key = (A.shape, B.shape, A.tobytes(), B.tobytes(), Q.tobytes(), R.tobytes(), n)
     return _memoized(key, _matrix_recursion, A, B, Q, R, n)
-
-
-def riccati_values(a: float, b: float, q: float, r: float, n: int) -> list[float]:
-    """Scalar cost-to-go coefficients p_1..p_n  (V_i(x) = p_i * x^2).
-
-    p_1 = q (one stage, no input needed), then
-    p_{k+1} = q + p_k a^2 r / (r + b^2 p_k).
-    """
-    return list(_scalar(a, b, q, r, n)[0])
-
-
-def riccati_matrices(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, n: int
-) -> list[np.ndarray]:
-    """Matrix cost-to-go P_1..P_n for x' Q x + u' R u stage cost."""
-    return list(_matrix(A, B, Q, R, n)[0].copy())
-
-
-def riccati_gains(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, n: int
-) -> list[np.ndarray]:
-    """Feedback gains K_1..K_n with u = -K_i x optimal for the i-step problem."""
-    return list(_matrix(A, B, Q, R, n)[1].copy())
 
 
 def _recursion(model, n: int):

@@ -86,7 +86,6 @@ class SystemModel:
         self.u_upper: Optional[np.ndarray] = None
         self.x_lower: Optional[np.ndarray] = None
         self.x_upper: Optional[np.ndarray] = None
-        self.state_penalty = 1e6  # quadratic weight on state-box violation
         self.default_x0 = np.zeros(self.state_dim)
 
     def _period(self, x: list, u: list, tape: Optional[list]) -> tuple[list, float]:

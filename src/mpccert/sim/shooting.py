@@ -37,7 +37,7 @@ details of the quasi-Newton route matter for certification work:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,6 +57,7 @@ _BARRIER = 1e300  # returned where the rollout left the floating-point range
 # decrease below _FTOL, or projected gradient below _GTOL
 _FTOL = 1e-12
 _GTOL = 1e-9
+_STATE_PENALTY = 1e6  # quadratic weight on state-box violation
 
 
 @dataclass
@@ -64,20 +65,22 @@ class ShootingProblem:
     """One open-loop optimal control problem instance.
 
     ``guess`` is an (N, control_dim) warm start; ``None`` means start from
-    the zero sequence.  ``options`` may override ``maxiter``.  Both are
-    read by the quasi-Newton route only; the Riccati route needs
-    neither, but rejects unknown options all the same.
+    the zero sequence.  ``maxiter`` caps the quasi-Newton iterations.  Both
+    are read by the quasi-Newton route only; ``maxiter < 1`` is rejected
+    here, whichever route the problem takes.
     """
 
     model: SystemModel
     horizon: int
     x0: np.ndarray
     guess: Optional[np.ndarray] = None
-    options: dict = field(default_factory=dict)
+    maxiter: int = 400
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.maxiter < 1:
+            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(self.model.state_dim)
         if self.guess is not None:
             self.guess = np.asarray(self.guess, dtype=float).reshape(
@@ -124,8 +127,8 @@ def _objective(model: SystemModel, states: np.ndarray, costs: np.ndarray):
                 d = side(states[1:] - bound, 0.0)
                 violation += float(np.sum(d * d))
                 seeds += d
-        total += model.state_penalty * violation
-        seeds *= 2.0 * model.state_penalty
+        total += _STATE_PENALTY * violation
+        seeds *= 2.0 * _STATE_PENALTY
     return total, seeds
 
 
@@ -156,15 +159,6 @@ def solve_finite_horizon(problem: ShootingProblem) -> ShootingSolution:
     """
     law = _feedback_law(problem.model, problem.horizon)
     return _solve_quasi_newton(problem) if law is None else _solve_riccati(problem, law)
-
-
-def _solver_options(problem: ShootingProblem) -> dict:
-    opts = {"maxiter": 400}
-    unknown = set(problem.options) - set(opts)
-    if unknown:
-        raise ValueError(f"unknown solver options: {sorted(unknown)}")
-    opts.update(problem.options)
-    return opts
 
 
 def _objective_scale(model: SystemModel, x0: np.ndarray, guess: np.ndarray) -> float:
@@ -200,7 +194,6 @@ def _solve_riccati(problem: ShootingProblem, law) -> ShootingSolution:
     model's ``_period_adjoint`` along the same lists for ``grad_norm``; past
     a blow-up there is none and the gradient counts as zero.
     """
-    _solver_options(problem)  # unknown options are an error on either route
     model = problem.model
     n = problem.horizon
     x = problem.x0.tolist()
@@ -251,7 +244,6 @@ def _solve_quasi_newton(problem: ShootingProblem) -> ShootingSolution:
     """
     from scipy.optimize import Bounds, minimize  # deferred: importing scipy dominates start-up
 
-    opts = _solver_options(problem)
     model = problem.model
     n = problem.horizon
     cdim = model.control_dim
@@ -275,10 +267,10 @@ def _solve_quasi_newton(problem: ShootingProblem) -> ShootingSolution:
         method="L-BFGS-B",
         bounds=None if bounds is None else Bounds(*bounds),
         options={
-            "maxiter": int(opts["maxiter"]),
+            "maxiter": problem.maxiter,
             "ftol": _FTOL,
             "gtol": _GTOL,
-            "maxfun": 100 * int(opts["maxiter"]) * max(1, u0.size),
+            "maxfun": 100 * problem.maxiter * max(1, u0.size),
         },
     )
 

@@ -339,7 +339,7 @@ def test_09_pendulum_runs_to_completion_at_desk_scale():
             model.default_x0,
             40,
             startup=20,
-            solver_options={"maxiter": 200},
+            maxiter=200,
         )
         if trace.failure is not None:
             failures.append(f"m={m}: {trace.failure}")

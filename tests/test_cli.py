@@ -163,6 +163,12 @@ class TestProfileRegionHorizon:
             capsys, ["horizon", "--C", "3", "--sigma", "0.6666666667", "--policy", "best"]
         )
         assert rec["N_hat"] == 12
+        # the policy is parsed once: unset echoes "1", a bad value is a usage error
+        assert run_json(capsys, ["horizon", "--M", "2"])["config"]["policy"] == "1"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["horizon", "--M", "2", "--policy", "abc"])
+        assert exc_info.value.code == 2
+        assert "expected an integer m, 'best' or 'half', got 'abc'" in capsys.readouterr().err
 
     def test_horizon_table(self, capsys, tmp_path):
         out = tmp_path / "table.csv"
@@ -170,6 +176,15 @@ class TestProfileRegionHorizon:
         lines = out.read_text().strip().splitlines()
         assert lines[1] == "M,N_hat_m1,N_hat_half,bound_m1,bound_half"
         assert len(lines) == 5  # config + header + M in {2,3,4}
+        # the table sweeps constant bounds under both policies: a source or a
+        # policy flag beside it would be ignored, so it is refused
+        capsys.readouterr()
+        out.unlink()
+        for extra in (["--M", "50"], ["--C", "3"], ["--sigma", "0.5"], ["--policy", "half"], ["--M", "50", "--C", "3"]):
+            assert main(["horizon", *extra, "--table", "2", "4", "1", "--output", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: --table ") and captured.err.count("\n") == 1, captured.err
+            assert captured.out == "" and not out.exists()
 
     def test_horizon_table_rejects_endless_or_empty_ranges(self, tmp_path):
         # a non-positive step used to loop forever, growing without bound,
@@ -228,6 +243,14 @@ class TestSimulate:
         assert rec["config"]["x0"] == [2.0]
         # V_5(2) = 4 p_5 with p_5 = 4.230769... from the cost-to-go recursion
         assert rec["value_initial"] == pytest.approx(4.0 * 4.230769230769, rel=1e-6)
+        # a state that is not finite is refused, not run into a divergence record
+        for x0 in ("nan", "1,inf"):
+            model = "lq-scalar" if x0 == "nan" else "lq-double-integrator"
+            argv = ["simulate", "--model", model, "--N", "5", "--steps", "4", "--x0", x0]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: initial state x0 = ") and "is not finite" in captured.err
+            assert captured.out == ""
 
 
     @pytest.mark.parametrize("model, startup, epsilon", [("lq-scalar", 0, 0.0), ("pendulum", 20, 1e-5)])
@@ -236,14 +259,24 @@ class TestSimulate:
         assert (rec["config"]["startup"], rec["config"]["epsilon"]) == (startup, epsilon)
         assert rec["failure"] is None
 
-    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--m", "-1"), ("--steps", "0")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--m", "0"), ("--m", "-1"), ("--steps", "0"), ("--maxiter", "0"), ("--maxiter", "-3"), ("--startup", "-2")],
+    )
     def test_nonpositive_counts_are_rejected(self, capsys, flag, value):
         argv = {"--m": "2", "--steps": "4"}
         argv[flag] = value
         cmd = ["simulate", "--model", "lq-scalar", "--N", "6"]
         assert main(cmd + [tok for kv in argv.items() for tok in kv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag} {value} must be >= 1"), err
+        captured = capsys.readouterr()
+        err = captured.err
+        # the loop's own checks name the parameter, not the flag
+        expected = {
+            "--maxiter": f"error: maxiter must be >= 1, got {value}",
+            "--startup": f"error: startup must be >= 0, got {value}",
+        }.get(flag, f"error: {flag} {value} must be >= 1")
+        assert err.startswith(expected), err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import random_monotone_gamma
 from mpccert import (
-    CSequence,
-    ExpBound,
     GammaSequence,
     check_submultiplicative,
     constant_gamma,
@@ -92,14 +90,10 @@ class TestConstructors:
             gamma_from_exponential(0.5, 0.5, 4)  # C < 1
         with pytest.raises(ValueError):
             gamma_from_exponential(2.0, 1.0, 4)  # sigma not in (0,1)
+        with pytest.raises(ValueError, match=r"decay rate sigma = -0\.1 must lie in \(0, 1\)"):
+            gamma_from_exponential(2.0, -0.1, 4)
         with pytest.raises(ValueError):
             gamma_from_exponential(2.0, 0.5, 1)  # too short
-
-    def test_exp_bound_factory(self):
-        b = ExpBound(2.0, 0.5)
-        assert b.gamma(4).values == gamma_from_exponential(2.0, 0.5, 4).values
-        with pytest.raises(ValueError):
-            ExpBound(2.0, -0.1)
 
     def test_constant(self):
         g = constant_gamma(3.0, 4)
@@ -113,11 +107,11 @@ class TestConstructors:
 
     def test_c_sequence_validation(self):
         with pytest.raises(ValueError):
-            CSequence((0.5, 1.0))  # c_0 < 1
+            gamma_from_c_sequence((0.5, 1.0))  # c_0 < 1
         with pytest.raises(ValueError):
-            CSequence((1.0, -0.1))  # negative coefficient
+            gamma_from_c_sequence((1.0, -0.1))  # negative coefficient
         with pytest.raises(ValueError):
-            CSequence((1.0,))  # too short
+            gamma_from_c_sequence((1.0,))  # too short
 
 
 class TestSubmultiplicative:

@@ -109,6 +109,19 @@ class TestMpcRun:
             with pytest.raises(ValueError, match="exceeds the horizon"):
                 mpc_run(model, n, constant_schedule(n + 1, 2), np.array(x0), 2 * n + 2)
 
+    def test_negative_startup_or_nonfinite_state_is_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(problem):
+            raise AssertionError("solved before validating the inputs")
+
+        monkeypatch.setattr(loop, "solve_finite_horizon", no_solve)
+        sched = constant_schedule(1, 4)
+        with pytest.raises(ValueError, match="startup must be >= 0, got -2"):
+            mpc_run(lq_scalar(), 4, sched, np.array([1.0]), 4, startup=-2)
+        for x0 in ([math.nan], [math.inf], [0.1, 0.0, -math.inf, 0.0]):
+            model = lq_scalar() if len(x0) == 1 else pendulum_model()
+            with pytest.raises(ValueError, match="is not finite"):
+                mpc_run(model, 4, sched, np.array(x0), 4)
+
     def test_startup_phase_is_recorded_separately(self):
         model = lq_scalar()
         trace = mpc_run(

@@ -17,10 +17,7 @@ from mpccert.sim import (
     gamma_from_riccati,
     lq_double_integrator,
     lq_scalar,
-    riccati_gains,
-    riccati_matrices,
     riccati_value,
-    riccati_values,
     solve_finite_horizon,
 )
 from mpccert.sim import lq
@@ -29,7 +26,7 @@ from mpccert.sim import lq
 def oracle_gamma(model, n: int) -> np.ndarray:
     """Largest generalized eigenvalue of (P_i, P_1) for each i, by LAPACK's
     generalized symmetric solver, clamped to the monotone sequence."""
-    mats = riccati_matrices(model.A, model.B, model.Q, model.R, n)
+    mats = lq._matrix(model.A, model.B, model.Q, model.R, n)[0]
     top = np.array([eigh(P, mats[0], eigvals_only=True)[-1] for P in mats])
     return np.maximum.accumulate(np.maximum(top, 1.0))
 
@@ -110,22 +107,28 @@ class TestRecursionMemo:
         assert sum(o.updates for o in report[0].outcomes) >= 10
 
     def test_mutating_a_returned_sequence_changes_no_later_result(self):
+        # callers share the memo's entries, so every entry is immutable:
+        # float tuples for the scalar recursion, read-only arrays for the matrix one
         model = lq_double_integrator()
         w = (model.A, model.B, model.Q, model.R)
         x0 = np.array([0.3, -1.0])
-        p = riccati_values(2.0, 1.0, 1.0, 1.0, 8)
-        mats, gains = riccati_matrices(*w, 8), riccati_gains(*w, 8)
         gamma = gamma_from_riccati(model, 8)
         sol = solve_finite_horizon(ShootingProblem(model, 8, x0))
-        p[-1] = -1.0
-        for arr in (*mats, *gains):
-            arr[...] = np.nan
-        assert riccati_values(2.0, 1.0, 1.0, 1.0, 8)[-1] > 0.0
-        assert gamma_from_riccati(lq_scalar(), 8).values[-1] > 1.0
-        again = riccati_matrices(*w, 8)
-        assert all(np.all(np.isfinite(P)) for P in again + riccati_gains(*w, 8))
+        p, k = lq._scalar(2.0, 1.0, 1.0, 1.0, 8)
+        mats, gains = lq._matrix(*w, 8)
+        assert len(lq._memo) == 2
+        for values, coeffs in lq._memo.values():
+            for entry in (values, coeffs):
+                assert isinstance(entry, tuple) or not entry.flags.writeable
+        for seq in (p, k):
+            with pytest.raises(TypeError):
+                seq[-1] = -1.0
+        for arr in (mats, gains, mats[-1], gains[-1]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = np.nan
+        assert lq._scalar(2.0, 1.0, 1.0, 1.0, 8) == (p, k)
         assert gamma_from_riccati(model, 8) == gamma
-        assert riccati_value(model, 8, x0) == float(x0 @ again[-1] @ x0)
+        assert riccati_value(model, 8, x0) == float(x0 @ mats[-1] @ x0)
         np.testing.assert_array_equal(solve_finite_horizon(ShootingProblem(model, 8, x0)).controls, sol.controls)
 
     def test_key_is_the_exact_weights(self):
@@ -135,12 +138,12 @@ class TestRecursionMemo:
             want = lq._scalar_recursion(a, 1.0, 1.0, 1.0, 3)
             assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
         A = np.array([[-0.0]])
-        got = riccati_gains(A, [[1.0]], [[1.0]], [[1.0]], 3)
+        got = lq._matrix(A, [[1.0]], [[1.0]], [[1.0]], 3)[1]
         want = lq._matrix_recursion(A, np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), 3)[1]
-        assert np.array(got).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_memo_is_bounded(self):
         for n in range(2, 3 * lq._MEMO_SIZE):
-            riccati_values(2.0, 1.0, 1.0, 1.0, n)
+            lq._scalar(2.0, 1.0, 1.0, 1.0, n)
             gamma_from_riccati(lq_double_integrator(), n)
         assert len(lq._memo) == lq._MEMO_SIZE

@@ -1,4 +1,5 @@
 """Networked operation: certify up to m*, simulate dropouts, audit."""
+import functools
 import json
 
 import numpy as np
@@ -10,8 +11,9 @@ from mpccert import (
     gamma_from_exponential,
     run_network_experiment,
 )
+from mpccert import netcheck
 from mpccert.controllability import GammaSequence
-from mpccert.sim import gamma_from_riccati, lq_scalar, riccati_value
+from mpccert.sim import gamma_from_riccati, lq_scalar, mpc_run, riccati_value
 
 
 @pytest.fixture(scope="module")
@@ -93,14 +95,15 @@ class TestRunExperiment:
             assert sum(outcome.schedule) == 20
             assert outcome.measured >= report.certificate.alpha_star - 1e-6
 
-    def test_outcomes_say_whether_every_solve_converged(self):
+    def test_outcomes_say_whether_every_solve_converged(self, monkeypatch):
         # the exact route always converges; one quasi-Newton iteration on a
         # bounded plant does not, and the campaign record says so
         exact = run_network_experiment(NetworkExperiment(lq_scalar(), 6, 3, 0.3, 2, 10))
         assert [o.all_converged for o in exact.outcomes] == [True, True]
         bounded = lq_scalar()
         bounded.u_lower = np.array([-1.5])
-        exp = NetworkExperiment(bounded, 6, 3, 0.3, 2, 10, solver_options={"maxiter": 1})
+        monkeypatch.setattr(netcheck, "mpc_run", functools.partial(mpc_run, maxiter=1))
+        exp = NetworkExperiment(bounded, 6, 3, 0.3, 2, 10)
         report = run_network_experiment(exp)
         assert [o.all_converged for o in report.outcomes] == [False, False]
         assert [s["all_converged"] for s in report.to_record()["seeds"]] == [False, False]
@@ -109,6 +112,12 @@ class TestRunExperiment:
     def test_refuses_uncertified_configuration(self):
         exp = NetworkExperiment(lq_scalar(), 3, 2, 0.3, 2, 10)
         with pytest.raises(ValueError, match="not certified"):
+            run_network_experiment(exp)
+
+    def test_a_diverging_seed_names_itself(self):
+        # from 1e9 the first move already leaves the divergence norm
+        exp = NetworkExperiment(lq_scalar(), 6, 2, 0.3, 2, 10, x0=np.array([1e9]))
+        with pytest.raises(ValueError, match=r"^seed 0: divergence at step 0: .*state norm exceeded"):
             run_network_experiment(exp)
 
     def test_falsification_probe_reports_violations(self):

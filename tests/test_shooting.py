@@ -12,10 +12,7 @@ from mpccert.sim import (
     lq_double_integrator,
     lq_scalar,
     pendulum_model,
-    riccati_gains,
-    riccati_matrices,
     riccati_value,
-    riccati_values,
     shift_guess,
     solve_finite_horizon,
 )
@@ -27,7 +24,7 @@ class TestRiccatiRecursion:
     def test_scalar_sequence(self):
         # backward recursion for (a, b, q, r) = (2, 1, 1, 1):
         # p_1 = 1, p_{k+1} = 1 + 4 p_k / (1 + p_k) -> 1, 3, 4, 4.2, ...
-        p = riccati_values(2.0, 1.0, 1.0, 1.0, 5)
+        p = lq._scalar(2.0, 1.0, 1.0, 1.0, 5)[0]
         assert p[0] == 1.0
         assert p[1] == 3.0
         assert p[2] == 4.0
@@ -36,14 +33,14 @@ class TestRiccatiRecursion:
 
     def test_scalar_sequence_converges_to_the_fixed_point(self):
         # closed form for the limit: p = 2 + sqrt(5)
-        p = riccati_values(2.0, 1.0, 1.0, 1.0, 60)
+        p = lq._scalar(2.0, 1.0, 1.0, 1.0, 60)[0]
         assert p[-1] == pytest.approx(2.0 + math.sqrt(5.0), rel=1e-12)
 
     def test_matrix_recursion_agrees_with_scalar(self):
-        P = riccati_matrices(
+        P = lq._matrix(
             np.array([[2.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), 5
-        )
-        p = riccati_values(2.0, 1.0, 1.0, 1.0, 5)
+        )[0]
+        p = lq._scalar(2.0, 1.0, 1.0, 1.0, 5)[0]
         for Pk, pk in zip(P, p):
             assert Pk[0, 0] == pytest.approx(pk, rel=1e-13)
 
@@ -75,10 +72,10 @@ class TestScalarShooting:
         n = 6
         x0 = np.array([2.0])
         sol = solve_finite_horizon(ShootingProblem(model, n, x0))
-        gains = riccati_gains(
+        gains = lq._matrix(
             np.array([[model.a]]), np.array([[model.b]]),
             np.array([[model.q]]), np.array([[model.r]]), n,
-        )
+        )[1]
         x = x0.copy()
         for k in range(n):
             u_expect = -(gains[n - 1 - k] @ x)
@@ -200,7 +197,7 @@ class TestRiccatiRoute:
         x0 = np.array(x0)
         for n in range(2, 11):
             sol = solve_finite_horizon(ShootingProblem(model, n, x0))
-            gains = riccati_gains(*weights(model), n)
+            gains = lq._matrix(*weights(model), n)[1]
             np.testing.assert_array_equal(sol.states[0], x0)
             for k in range(n):
                 # u_k = -K_{N-k} x_k along the returned trajectory
@@ -365,9 +362,7 @@ class TestPendulumShooting:
     def test_short_solve_is_finite_and_nonincreasing(self):
         model = pendulum_model()
         x0 = np.array([math.pi + 1.4, 0.0, 0.0, 0.0])
-        sol = solve_finite_horizon(
-            ShootingProblem(model, 4, x0, options={"maxiter": 80})
-        )
+        sol = solve_finite_horizon(ShootingProblem(model, 4, x0, maxiter=80))
         assert math.isfinite(sol.value)
         assert sol.value >= 0.0
         # optimization must beat the zero-control rollout it started from
@@ -381,7 +376,7 @@ class TestPendulumShooting:
         x0 = np.array([math.pi + 1.4, 0.0, 0.0, 0.0])
         calls = []
         monkeypatch.setattr(shooting, "_evaluate", lambda *a: calls.append(1) or _evaluate(*a))
-        sol = solve_finite_horizon(ShootingProblem(model, 4, x0, options={"maxiter": 80}))
+        sol = solve_finite_horizon(ShootingProblem(model, 4, x0, maxiter=80))
         assert len(calls) == sol.nfev
         states, costs, total, _ = _evaluate(model, x0, sol.controls)
         np.testing.assert_array_equal(sol.states, states)
@@ -392,13 +387,17 @@ class TestPendulumShooting:
 class TestProblemPlumbing:
     def test_option_validation(self):
         # on both routes: the unbounded plant is solved exactly, the bounded
-        # one by quasi-Newton iterations
+        # one by quasi-Newton iterations; a cap below one iteration is
+        # rejected when the problem is built
         bounded = lq_scalar()
         bounded.u_lower = np.array([-10.0])
         for model in (lq_scalar(), bounded):
-            for bad in ({"tol": 1e-8}, {"fd_step": 1e-6}, {"ftol": 1e-10}, {"gtol": 1e-6}):
-                with pytest.raises(ValueError, match="unknown solver options"):
-                    solve_finite_horizon(ShootingProblem(model, 4, np.array([1.0]), options=bad))
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match=f"maxiter must be >= 1, got {bad}"):
+                    ShootingProblem(model, 4, np.array([1.0]), maxiter=bad)
+            assert ShootingProblem(model, 4, np.array([1.0])).maxiter == 400
+            sol = solve_finite_horizon(ShootingProblem(model, 4, np.array([1.0]), maxiter=1))
+            assert sol.iterations <= 1
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
