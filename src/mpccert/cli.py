@@ -61,10 +61,9 @@ _MAX_TABLE_ROWS = 10_000
 _MAX_GRID = 1_000
 
 
-def _resolve_output(path: Optional[str]) -> Optional[Path]:
-    if path is None:
-        return None
-    p = Path(path)
+def _output_path(text: str) -> Path:
+    """``--output``: a relative path is resolved against $MPCCERT_OUTDIR when set."""
+    p = Path(text)
     base = os.environ.get(OUTDIR_ENV)
     if base and not p.is_absolute():
         p = Path(base) / p
@@ -123,11 +122,10 @@ def _emit_json(record: dict, out: Optional[Path]) -> None:
 def _cmd_alpha(args) -> int:
     family, src = _gamma_family(args)
     gamma = family(args.N)
-    method = LINEAR_PROGRAM if args.exact else CLOSED_FORM
-    res = certificate(CertificateQuery(gamma, args.N, args.m), method)
+    res = certificate(CertificateQuery(gamma, args.N, args.m), args.method)
     record = res.to_record()
-    record["config"] = {**src, "N": args.N, "m": args.m, "method": method}
-    _emit_json(record, _resolve_output(args.output))
+    record["config"] = {**src, "N": args.N, "m": args.m, "method": args.method}
+    _emit_json(record, args.output)
     return 0
 
 
@@ -136,23 +134,20 @@ def _cmd_gamma(args) -> int:
         raise ValueError("--length is required")
     family, src = _gamma_family(args)
     gamma = family(args.length).truncated(args.length)
-    out = _resolve_output(args.output)
-    gamma_to_csv(gamma, out)
-    if out is not None:
-        print(f"wrote {gamma.n} bounds to {out}")
+    gamma_to_csv(gamma, args.output)
+    if args.output is not None:
+        print(f"wrote {gamma.n} bounds to {args.output}")
     return 0
 
 
 def _cmd_profile(args) -> int:
     family, src = _gamma_family(args)
     gamma = family(args.N)
-    method = LINEAR_PROGRAM if args.exact else CLOSED_FORM
-    prof = alpha_profile_m(gamma, args.N, method)
-    cfg = {**src, "N": args.N, "method": method}
-    out = _resolve_output(args.output)
-    profile_to_csv(prof, out, _config_line(cfg))
-    if out is not None:
-        print(f"wrote {len(prof)} rows to {out}")
+    prof = alpha_profile_m(gamma, args.N, args.method)
+    cfg = {**src, "N": args.N, "method": args.method}
+    profile_to_csv(prof, args.output, _config_line(cfg))
+    if args.output is not None:
+        print(f"wrote {len(prof)} rows to {args.output}")
     return 0
 
 
@@ -170,12 +165,9 @@ def _cmd_region(args) -> int:
         "sigma_range": list(args.sigma_range),
         "grid": args.grid,
     }
-    out = _resolve_output(args.output)
-    if out is None:
-        raise ValueError("region output is a full grid; --output is required")
-    region_to_csv(grid, out, _config_line(cfg))
+    region_to_csv(grid, args.output, _config_line(cfg))
     print(
-        f"wrote {args.grid}x{args.grid} region to {out} "
+        f"wrote {args.grid}x{args.grid} region to {args.output} "
         f"(stable fraction {fmt12(grid.fraction_stable())})"
     )
     return 0
@@ -199,11 +191,10 @@ def _cmd_horizon(args) -> int:
             M_values.append(round(v, 12))
             v += step
         rows = horizon_table(M_values, n_max=args.N_max)
-        out = _resolve_output(args.output)
-        if out is None:
+        if args.output is None:
             raise ValueError("--output is required with --table")
-        horizon_table_to_csv(rows, out, _config_line({"table": list(args.table), "N_max": args.N_max}))
-        print(f"wrote {len(rows)} rows to {out}")
+        horizon_table_to_csv(rows, args.output, _config_line({"table": list(args.table), "N_max": args.N_max}))
+        print(f"wrote {len(rows)} rows to {args.output}")
         return 0
 
     policy = 1 if args.policy is None else args.policy
@@ -220,7 +211,7 @@ def _cmd_horizon(args) -> int:
         record["bound_m1"] = horizon_bound_m1(args.M)
         record["bound_half_even"] = horizon_bound_half(args.M, "even")
         record["bound_half_odd"] = horizon_bound_half(args.M, "odd")
-    _emit_json(record, _resolve_output(args.output))
+    _emit_json(record, args.output)
     return 0
 
 
@@ -276,9 +267,8 @@ def _cmd_simulate(args) -> int:
             record["certificate_alpha"] = certificate(
                 CertificateQuery(gam, args.N, args.m), CLOSED_FORM
             ).alpha
-    out = _resolve_output(args.output)
-    if out is not None:
-        trace_to_csv(trace, out, _config_line(cfg))
+    if args.output is not None:
+        trace_to_csv(trace, args.output, _config_line(cfg))
     _emit_json(record, None)
     return 0
 
@@ -308,7 +298,7 @@ def _cmd_network(args) -> int:
         "steps": args.steps,
         "base_seed": args.base_seed,
     }
-    _emit_json(record, _resolve_output(args.output))
+    _emit_json(record, args.output)
     return 0
 
 
@@ -337,22 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gamma_source(p)
     p.add_argument("--N", type=int, required=True, help="prediction horizon (>= 2)")
     p.add_argument("--m", type=int, required=True, help="control horizon (1..N-1)")
-    p.add_argument("--exact", action="store_true",
+    p.add_argument("--exact", dest="method", action="store_const", const=LINEAR_PROGRAM, default=CLOSED_FORM,
                    help="exact worst-case index (the LP's optimum, by a backward recursion) instead of the closed form")
-    p.add_argument("--output", type=str, help="also write the JSON record here")
+    p.add_argument("--output", type=_output_path, help="also write the JSON record here")
     p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("gamma", help="construct growth-bound sequences as CSV")
     _add_gamma_source(p)
     p.add_argument("--length", type=int, help="number of entries to generate")
-    p.add_argument("--output", type=str, help="CSV destination (stdout if omitted)")
+    p.add_argument("--output", type=_output_path, help="CSV destination (stdout if omitted)")
     p.set_defaults(handler=_cmd_gamma)
 
     p = sub.add_parser("profile", help="index as a function of the control horizon m")
     _add_gamma_source(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="exact worst-case index instead of the closed form")
-    p.add_argument("--output", type=str)
+    p.add_argument("--exact", dest="method", action="store_const", const=LINEAR_PROGRAM, default=CLOSED_FORM,
+                   help="exact worst-case index instead of the closed form")
+    p.add_argument("--output", type=_output_path)
     p.set_defaults(handler=_cmd_profile)
 
     p = sub.add_parser("region", help="stability verdicts over exponential-bound parameters")
@@ -361,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C-range", type=float, nargs=2, default=(1.0, 10.0), metavar=("LO", "HI"))
     p.add_argument("--sigma-range", type=float, nargs=2, default=(0.01, 0.99), metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=200, help="cells per axis")
-    p.add_argument("--output", type=str, required=True)
+    p.add_argument("--output", type=_output_path, required=True)
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("horizon", help="minimal stabilizing horizon for a bound family")
@@ -371,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-max", type=int, default=600)
     p.add_argument("--table", type=float, nargs=3, metavar=("LO", "HI", "STEP"),
                    help="sweep constant bounds and write a CSV table")
-    p.add_argument("--output", type=str)
+    p.add_argument("--output", type=_output_path)
     p.set_defaults(handler=_cmd_horizon)
 
     p = sub.add_parser("simulate", help="closed-loop run with constant control horizon")
@@ -382,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loop_flags(p)
     p.add_argument("--maxiter", type=int, default=ShootingProblem.maxiter,
                    help="optimizer iteration cap per solve (>= 1, default: %(default)s)")
-    p.add_argument("--output", type=str, help="trace CSV destination")
+    p.add_argument("--output", type=_output_path, help="trace CSV destination")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("network", help="seeded dropout campaign with Lyapunov audit")
@@ -396,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loop_flags(p)
     p.add_argument("--audit-alpha", type=float,
                    help="audit against this index instead of alpha_star (falsification probe)")
-    p.add_argument("--output", type=str)
+    p.add_argument("--output", type=_output_path)
     p.set_defaults(handler=_cmd_network)
 
     return parser

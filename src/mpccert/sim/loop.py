@@ -34,7 +34,6 @@ __all__ = [
     "LyapunovAudit",
     "verify_relaxed_lyapunov",
     "trace_to_csv",
-    "TRACE_COLUMNS",
 ]
 
 _AUDIT_TOL = 1e-6  # of verify_relaxed_lyapunov, recorded as LyapunovAudit.tol
@@ -165,16 +164,18 @@ def mpc_run(
 ) -> ClosedLoopTrace:
     """Run the multi-step receding-horizon loop for ``steps`` applied moves.
 
-    ``startup`` classical (m = 1) steps precede the audited phase; they
-    warm the optimizer into the right basin — the audited trace then starts
-    from the post-startup state with a meaningful initial guess.  The final
-    window is truncated if the schedule overshoots ``steps``; a schedule
-    that cannot cover ``steps``, or whose m* exceeds ``horizon``, a
-    negative ``startup`` and a non-finite ``x0`` are rejected before any
-    solve.  ``maxiter`` caps the quasi-Newton iterations of every solve.
+    One update loop runs ``startup`` classical (m = 1) updates ahead of the
+    schedule; they warm the optimizer into the right basin, so the audited
+    trace starts from the post-startup state with a meaningful guess.  The
+    final window is truncated if the schedule overshoots ``steps``; a
+    schedule that cannot cover ``steps``, or whose m* exceeds ``horizon``, a
+    negative ``startup`` and an ``x0`` that is not a finite model state are
+    rejected before any solve.  ``maxiter`` caps the quasi-Newton
+    iterations of every solve.
 
     Solver non-convergence is tolerated (recorded per update); state
-    divergence aborts the run and marks the trace as failed.
+    divergence aborts the run and marks the trace as failed, or raises
+    during the startup moves.
     """
     if steps < 1:
         raise ValueError("need at least one applied move")
@@ -186,70 +187,60 @@ def mpc_run(
         )
     if startup < 0:
         raise ValueError(f"startup must be >= 0, got {startup}")
-    x = np.asarray(x0, dtype=float).reshape(model.state_dim)
+    x = np.array(x0, dtype=float)  # the one copy of the caller's state
+    if x.size != model.state_dim:
+        raise ValueError(f"initial state x0 = {x.tolist()} has size {x.size}, "
+                         f"but model '{model.name}' has state dimension {model.state_dim}")
+    x = x.reshape(model.state_dim)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"initial state x0 = {x.tolist()} is not finite")
-    warm: Optional[np.ndarray] = None
 
     def solve(x: np.ndarray, warm: Optional[np.ndarray]) -> ShootingSolution:
         # solve_finite_horizon is looked up at call time, so a replacement
         # of this module's name (a recorder, an oracle) sees every solve
         return solve_finite_horizon(ShootingProblem(model, horizon, x, guess=warm, maxiter=maxiter))
 
-    startup_states: Optional[np.ndarray] = None
-    startup_costs: Optional[np.ndarray] = None
-    failure: Optional[str] = None
-    if startup > 0:
-        s_states = [x.copy()]
-        s_costs = []
-        for _ in range(startup):
-            sol = solve(x, warm)
-            try:
-                x, c = model.step(x, sol.controls[0])
-            except DivergenceError as exc:
-                raise DivergenceError(f"divergence during startup: {exc}") from exc
-            s_states.append(x.copy())
-            s_costs.append(c)
-            warm = shift_guess(sol.controls, 1)
-        startup_states = np.asarray(s_states)
-        startup_costs = np.asarray(s_costs)
-
-    states = [x.copy()]
+    # one set of lists over startup and audited moves; `step` returns fresh
+    # states and each solve fresh controls, so nothing needs copying
+    states = [x]
     controls: list[np.ndarray] = []
     costs: list[float] = []
     updates: list[UpdateRecord] = []
-    applied = 0
-    for k, m_k in enumerate(schedule.m_values):
-        if applied >= steps:
+    warm: Optional[np.ndarray] = None
+    failure: Optional[str] = None
+    total = startup + steps
+    applied = 0  # moves applied, startup included
+    for k, m_k in enumerate((1,) * startup + schedule.m_values):
+        if applied >= total:
             break
-        m_eff = min(m_k, steps - applied)  # last window may be truncated
+        m_eff = min(m_k, total - applied)  # last window may be truncated
         sol = solve(x, warm)
-        updates.append(
-            UpdateRecord(
-                index=k,
-                time=applied,
-                m=m_eff,
-                value=sol.value,
-                converged=sol.converged,
-                iterations=sol.iterations,
-                nfev=sol.nfev,
-                grad_norm=sol.grad_norm,
+        if k >= startup:
+            updates.append(
+                UpdateRecord(
+                    index=k - startup,
+                    time=applied - startup,
+                    m=m_eff,
+                    value=sol.value,
+                    converged=sol.converged,
+                    iterations=sol.iterations,
+                    nfev=sol.nfev,
+                    grad_norm=sol.grad_norm,
+                )
             )
-        )
-        aborted = False
-        for i in range(m_eff):
-            u = sol.controls[i]
+        for u in sol.controls[:m_eff]:
             try:
                 x, c = model.step(x, u)
             except DivergenceError as exc:
-                failure = f"divergence at step {applied}: {exc}"
-                aborted = True
+                if applied < startup:
+                    raise DivergenceError(f"divergence during startup: {exc}") from exc
+                failure = f"divergence at step {applied - startup}: {exc}"
                 break
-            controls.append(np.asarray(u, dtype=float).copy())
+            states.append(x)
+            controls.append(u)
             costs.append(c)
-            states.append(x.copy())
             applied += 1
-        if aborted:
+        if failure is not None:
             break
         warm = shift_guess(sol.controls, m_eff)
 
@@ -263,14 +254,14 @@ def mpc_run(
     return ClosedLoopTrace(
         model_name=model.name,
         horizon=horizon,
-        states=np.asarray(states),
-        controls=np.asarray(controls).reshape(len(controls), model.control_dim),
-        stage_costs=np.asarray(costs),
+        states=np.asarray(states[startup:]),
+        controls=np.asarray(controls[startup:]).reshape(-1, model.control_dim),
+        stage_costs=np.asarray(costs[startup:]),
         updates=tuple(updates),
         final_value=final_value,
         final_converged=final_converged,
-        startup_states=startup_states,
-        startup_costs=startup_costs,
+        startup_states=np.asarray(states[: startup + 1]) if startup else None,
+        startup_costs=np.asarray(costs[:startup]) if startup else None,
         failure=failure,
     )
 
@@ -286,7 +277,7 @@ def measured_alpha(trace: ClosedLoopTrace, epsilon: float = 0.0) -> float:
     index is the minimum over windows, and may be negative if the value
     function rose.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # NaN included
         raise ValueError("epsilon must be nonnegative")
     worst = 1.0
     for rec, next_value in trace.window_values():
@@ -381,17 +372,6 @@ def verify_relaxed_lyapunov(trace: ClosedLoopTrace, alpha: float) -> LyapunovAud
     )
 
 
-TRACE_COLUMNS = "n,{xcols},{ucols},lambda,update_flag,m_k,V_N"
-
-
-def _trace_header(trace: ClosedLoopTrace) -> str:
-    d = trace.states.shape[1]
-    c = trace.controls.shape[1] if trace.controls.size else 1
-    xcols = ",".join(f"x{i+1}" for i in range(d))
-    ucols = ",".join(f"u{i+1}" for i in range(c))
-    return TRACE_COLUMNS.format(xcols=xcols, ucols=ucols)
-
-
 def trace_to_csv(
     trace: ClosedLoopTrace, path: Union[str, Path], config_line: Optional[str] = None
 ) -> None:
@@ -401,6 +381,10 @@ def trace_to_csv(
     rows carry the applied window length ``m_k`` and the value ``V_N``.
     The terminal row has state and final value only.
     """
+    c = trace.controls.shape[1]
+    xcols = [f"x{i+1}" for i in range(trace.states.shape[1])]
+    ucols = [f"u{i+1}" for i in range(c)]
+    header = ",".join(["n", *xcols, *ucols, "lambda,update_flag,m_k,V_N"])
     by_time = {u.time: u for u in trace.updates}
     lines = []
     T = trace.steps
@@ -414,7 +398,6 @@ def trace_to_csv(
         else:
             lines.append(f"{n},{xs},{us},{lam},0,,")
     xs = ",".join(fmt12(v) for v in trace.states[T])
-    blank_u = "," * (trace.controls.shape[1] - 1) if trace.controls.size else ""
     vn = fmt12(trace.final_value) if trace.final_value is not None else ""
-    lines.append(f"{T},{xs},{blank_u},,0,,{vn}")
-    write_csv(path, _trace_header(trace), lines, config_line)
+    lines.append(f"{T},{xs},{',' * (c - 1)},,0,,{vn}")
+    write_csv(path, header, lines, config_line)

@@ -251,7 +251,27 @@ class TestSimulate:
             captured = capsys.readouterr()
             assert captured.err.startswith("error: initial state x0 = ") and "is not finite" in captured.err
             assert captured.out == ""
+        # so is one whose size is not the model's state dimension
+        for model, x0, message in (
+            ("lq-scalar", "1,2", "x0 = [1.0, 2.0] has size 2, but model 'lq-scalar' has state dimension 1"),
+            ("lq-double-integrator", "1", "x0 = [1.0] has size 1, but model 'lq-double-integrator' has state dimension 2"),
+        ):
+            argv = ["simulate", "--model", model, "--N", "5", "--steps", "4", "--x0", x0]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: initial state {message}\n"
+            assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--model", "lq-scalar", "--N", "6", "--steps", "3"],
+        ["network", "--model", "lq-scalar", "--N", "6", "--m-star", "2", "--p", "0.3", "--seeds", "1", "--steps", "3"],
+    ])
+    @pytest.mark.parametrize("epsilon", ["nan", "-1"])
+    def test_epsilon_must_be_a_nonnegative_number(self, capsys, command, epsilon):
+        assert main(command + ["--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: epsilon must be nonnegative\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("model, startup, epsilon", [("lq-scalar", 0, 0.0), ("pendulum", 20, 1e-5)])
     def test_unset_loop_flags_take_the_model_defaults(self, capsys, model, startup, epsilon):

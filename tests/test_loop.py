@@ -10,6 +10,7 @@ from mpccert.sim import (
     constant_schedule,
     dropout_schedule,
     gamma_from_riccati,
+    lq_double_integrator,
     lq_scalar,
     measured_alpha,
     mpc_run,
@@ -121,6 +122,9 @@ class TestMpcRun:
             model = lq_scalar() if len(x0) == 1 else pendulum_model()
             with pytest.raises(ValueError, match="is not finite"):
                 mpc_run(model, 4, sched, np.array(x0), 4)
+        for model, x0 in ((lq_scalar(), [1.0, 2.0]), (pendulum_model(), [0.1, 0.0])):
+            with pytest.raises(ValueError, match=f"has size 2, but model '{model.name}' has state dimension"):
+                mpc_run(model, 4, sched, np.array(x0), 4)
 
     def test_startup_phase_is_recorded_separately(self):
         model = lq_scalar()
@@ -152,6 +156,25 @@ class TestMpcRun:
         assert trace.final_value is None
         with pytest.raises(ValueError, match="truncated"):
             trace.window_values()
+
+    def test_divergence_after_the_startup_marks_the_trace(self, monkeypatch):
+        model = lq_scalar()
+        original = model.step
+        calls = {"n": 0}
+
+        def failing_step(x, u):
+            calls["n"] += 1
+            if calls["n"] >= 4:  # two startup moves, one audited move, then the failure
+                raise DivergenceError("forced blow-up")
+            return original(x, u)
+
+        monkeypatch.setattr(model, "step", failing_step)
+        trace = mpc_run(model, 4, constant_schedule(1, 5), np.array([1.0]), 5, startup=2)
+        assert trace.failure.startswith("divergence at step 1")
+        assert trace.steps == 1
+        assert trace.startup_states.shape == (3, 1)
+        np.testing.assert_array_equal(trace.startup_states[-1], trace.states[0])
+        assert trace.update_times == (0, 1)
 
     def test_divergence_during_startup_raises(self, monkeypatch):
         model = lq_scalar()
@@ -216,8 +239,9 @@ class TestMeasuredAlpha:
     def test_epsilon_validation(self):
         model = lq_scalar()
         trace = mpc_run(model, 4, constant_schedule(1, 2), np.array([1.0]), 2)
-        with pytest.raises(ValueError):
-            measured_alpha(trace, epsilon=-1.0)
+        for epsilon in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+                measured_alpha(trace, epsilon=epsilon)
 
 
 class TestLyapunovAudit:
@@ -306,6 +330,24 @@ class TestTraceCsv:
         terminal = lines[-1].split(",")
         assert terminal[0] == "6"
         assert terminal[-1] != ""  # V_N at the terminal state
+
+    def test_layout_of_a_two_state_plant(self, tmp_path):
+        trace = mpc_run(lq_double_integrator(), 6, constant_schedule(2, 2), np.array([1.0, 0.0]), 4)
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "n,x1,x2,u1,lambda,update_flag,m_k,V_N"
+        assert [len(line.split(",")) for line in lines[1:]] == [8] * 5
+        terminal = lines[-1].split(",")
+        assert terminal[0] == "4" and terminal[3:7] == ["", "", "0", ""]
+        assert float(terminal[7]) == pytest.approx(trace.final_value, rel=1e-11)
+
+    def test_a_trace_that_diverged_at_once_has_no_terminal_value(self, tmp_path):
+        trace = mpc_run(lq_scalar(), 6, constant_schedule(1, 3), np.array([1e9]), 3)
+        assert trace.failure.startswith("divergence at step 0") and trace.steps == 0
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+        assert path.read_text().splitlines() == ["n,x1,u1,lambda,update_flag,m_k,V_N", "0,1000000000,,,0,,"]
 
     def test_terminal_value_closes_the_last_window(self, tmp_path):
         trace = mpc_run(lq_scalar(), 5, constant_schedule(1, 4), np.array([1.0]), 4)
