@@ -14,6 +14,7 @@ from mpccert import (
     GammaSequence,
     alpha_closed_form,
     alpha_lp,
+    alpha_profile_m,
     certificate,
     check_submultiplicative,
     gamma_from_exponential,
@@ -23,7 +24,7 @@ from mpccert import (
 # Growth bounds from an exponential decay estimate: C = 3, sigma = 2/3
 # give gamma_i = C (1 - sigma^i) / (1 - sigma), here truncated at N = 12.
 gamma = gamma_from_exponential(3.0, 2.0 / 3.0, 12)
-print("gamma_1..gamma_4:", [round(gamma.gamma(i), 4) for i in range(1, 5)])
+print("gamma_1..gamma_4:", [round(v, 4) for v in gamma.values[:4]])
 
 # ----------------------------------------------------------------------
 # The certificate for horizon N = 12 and control horizon m = 6.  The
@@ -56,7 +57,6 @@ print(f"\nrough bounds: closed form {alpha_closed_form(q2).alpha:.6f}"
 # Sweeping the control horizon m reveals the symmetric profile of the
 # closed form: alpha(N, m) = alpha(N, N - m), maximal near m = N/2.
 print("\n m   alpha(12, m)")
-for m in range(1, 12):
-    a = alpha_closed_form(CertificateQuery(gamma, 12, m)).alpha
+for m, a in alpha_profile_m(gamma, 12):
     bar = "#" * max(0, int(40 * max(a, 0.0)))
     print(f"{m:2d}  {a:+.4f}  {bar}")

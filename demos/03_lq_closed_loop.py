@@ -25,7 +25,7 @@ model = lq_scalar()  # a = 2, b = 1, q = r = 1
 # ----------------------------------------------------------------------
 # Growth bounds straight from the Riccati values: gamma_i = p_i / p_1.
 gamma = gamma_from_riccati(model, 6)
-print("Riccati growth bounds:", [round(gamma.gamma(i), 4) for i in range(1, 7)])
+print("Riccati growth bounds:", [round(v, 4) for v in gamma.values[:6]])
 
 # ----------------------------------------------------------------------
 # Certificate for N = 6, m = 2.

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from ._output import fmt12, write_csv
-from .certificate import CLOSED_FORM, LINEAR_PROGRAM, _alpha_lp_profile, _alpha_profile
+from .certificate import CLOSED_FORM, _alpha_profile, _profile
 from .controllability import GammaSequence, constant_gamma, gamma_from_exponential
 
 __all__ = [
@@ -97,7 +97,7 @@ def minimal_horizon(
     last_alpha = -math.inf
     first = policy + 1 if isinstance(policy, int) else 2  # a fixed m needs N >= m + 1
     for n in range(first, n_max + 1):
-        profile = _alpha_profile(factory(n).values)
+        profile = _profile(factory(n), CLOSED_FORM)
         if policy == "best":
             m = int(np.argmax(profile)) + 1  # the first maximum
         elif policy == "half":
@@ -252,10 +252,7 @@ def alpha_profile_m(gamma: GammaSequence, horizon: int, method: str = CLOSED_FOR
     Either route ("closed_form" or the exact "linear_program") is one
     kernel call for the whole profile.
     """
-    kernels = {CLOSED_FORM: _alpha_profile, LINEAR_PROGRAM: _alpha_lp_profile}
-    if method not in kernels:
-        raise ValueError(f"unknown method {method!r}")
-    return list(enumerate(kernels[method](gamma.truncated(horizon).values).tolist(), start=1))
+    return list(enumerate(_profile(gamma.truncated(horizon), method).tolist(), start=1))
 
 
 def region_to_csv(grid: RegionGrid, path: Union[str, Path], config_line: str | None = None) -> None:

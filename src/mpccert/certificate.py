@@ -207,17 +207,31 @@ def _alpha_lp_profile(gamma) -> np.ndarray:
     return 1.0 - v * _suffix_ratios(g[..., 1:])[..., ::-1]
 
 
-def _certify(query: CertificateQuery, profile, method: str) -> CertificateResult:
-    """Entry m of one kernel's profile at the query's horizon, as a result."""
-    n, m = query.horizon, query.m
-    gamma = query.gamma.truncated(n)
+_KERNELS = {CLOSED_FORM: _alpha_profile, LINEAR_PROGRAM: _alpha_lp_profile}
+
+
+def _profile(gamma: GammaSequence, method: str) -> np.ndarray:
+    """One route's alpha(N, m) for m = 1..N-1, with N = gamma.n."""
+    if method not in _KERNELS:
+        raise ValueError(f"unknown method {method!r}")
+    return _KERNELS[method](gamma.values)
+
+
+def _result(gamma: GammaSequence, m: int, profile: np.ndarray, method: str) -> CertificateResult:
+    """Entry m of a profile over all of ``gamma``, as a certificate at N = gamma.n."""
     return CertificateResult(
-        horizon=n,
+        horizon=gamma.n,
         m=m,
-        alpha=float(profile(gamma.values)[m - 1]),
+        alpha=float(profile[m - 1]),
         method=method,
         submultiplicative=check_submultiplicative(gamma),
     )
+
+
+def _certify(query: CertificateQuery, method: str) -> CertificateResult:
+    """One route's certificate for the query's (N, m)."""
+    gamma = query.gamma.truncated(query.horizon)
+    return _result(gamma, query.m, _profile(gamma, method), method)
 
 
 def alpha_closed_form(query: CertificateQuery) -> CertificateResult:
@@ -232,7 +246,7 @@ def alpha_closed_form(query: CertificateQuery) -> CertificateResult:
     the control horizon.  If some gamma_i == 1 inside either range the
     correction term vanishes and alpha = 1 exactly.
     """
-    return _certify(query, _alpha_profile, CLOSED_FORM)
+    return _certify(query, CLOSED_FORM)
 
 
 @dataclass(frozen=True)
@@ -285,7 +299,7 @@ def build_lp(query: CertificateQuery) -> LinearProgram:
     for k in range(0, n - 1):
         row = np.zeros(nv)
         row[k:n] = 1.0
-        row[k] -= gamma.gamma(n - k)
+        row[k] -= gamma.values[n - k - 1]
         rows.append(row)
         rhs.append(0.0)
     n_tail = len(rows)
@@ -295,7 +309,7 @@ def build_lp(query: CertificateQuery) -> LinearProgram:
         row = np.zeros(nv)
         row[nv - 1] = 1.0
         row[m : m + j] -= 1.0
-        row[m + j] -= gamma.gamma(n - j)
+        row[m + j] -= gamma.values[n - j - 1]
         rows.append(row)
         rhs.append(0.0)
     n_cont = len(rows) - n_tail
@@ -384,7 +398,7 @@ def alpha_lp(query: CertificateQuery) -> CertificateResult:
     fail.  Always at least as large as the closed form, and equal to it
     whenever the gamma differences are submultiplicative.
     """
-    return _certify(query, _alpha_lp_profile, LINEAR_PROGRAM)
+    return _certify(query, LINEAR_PROGRAM)
 
 
 def certificate(query: CertificateQuery, method: str = CLOSED_FORM) -> CertificateResult:
@@ -401,15 +415,6 @@ def max_alpha_over_m(gamma: GammaSequence, horizon: int) -> CertificateResult:
 
     Ties are broken toward the smallest m (fewer dropped feedback updates).
     """
-    if horizon < 2:
-        raise ValueError(f"prediction horizon N = {horizon} must be >= 2")
     gamma = gamma.truncated(horizon)
-    profile = _alpha_profile(gamma.values)
-    m = int(np.argmax(profile)) + 1  # the first maximum
-    return CertificateResult(
-        horizon=horizon,
-        m=m,
-        alpha=float(profile[m - 1]),
-        method=CLOSED_FORM,
-        submultiplicative=check_submultiplicative(gamma),
-    )
+    profile = _profile(gamma, CLOSED_FORM)
+    return _result(gamma, int(np.argmax(profile)) + 1, profile, CLOSED_FORM)  # the first maximum

@@ -93,8 +93,7 @@ def _add_gamma_source(p: argparse.ArgumentParser, csv: bool = True) -> None:
 
 def _gamma_family(args) -> tuple[Callable[[int], GammaSequence], dict]:
     """The one growth-bound source the flags name, as a family N -> gamma_1..gamma_N,
-    and its config echo.  A CSV file gives its whole sequence for every N; the
-    certificate, profile or truncation it feeds rejects an N beyond its end."""
+    and its config echo."""
     csv = vars(args).get("gamma_csv")  # `horizon` takes no CSV
     if (args.C is not None or args.sigma is not None) + (args.M is not None) + (csv is not None) != 1:
         flags = "--C/--sigma, --M, or --gamma-csv" if "gamma_csv" in vars(args) else "--C/--sigma or --M"
@@ -103,7 +102,7 @@ def _gamma_family(args) -> tuple[Callable[[int], GammaSequence], dict]:
         return constant_family(args.M), {"M": args.M}
     if csv is not None:
         gam = gamma_from_csv(csv)
-        return (lambda n: gam), {"gamma_csv": csv}
+        return gam.truncated, {"gamma_csv": csv}
     if args.C is None or args.sigma is None:
         raise ValueError("--C and --sigma must be given together")
     return exponential_family(args.C, args.sigma), {"C": args.C, "sigma": args.sigma}
@@ -130,10 +129,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    if args.length is None:
-        raise ValueError("--length is required")
     family, src = _gamma_family(args)
-    gamma = family(args.length).truncated(args.length)
+    gamma = family(args.length)
     gamma_to_csv(gamma, args.output)
     if args.output is not None:
         print(f"wrote {gamma.n} bounds to {args.output}")
@@ -177,6 +174,8 @@ def _cmd_horizon(args) -> int:
     if args.table is not None:
         if any(v is not None for v in (args.M, args.C, args.sigma, args.policy)):
             raise ValueError("--table sweeps constant bounds under both policies; drop --M, --C, --sigma and --policy")
+        if args.output is None:
+            raise ValueError("--output is required with --table")
         lo, hi, step = args.table
         if not all(map(math.isfinite, args.table)):
             raise ValueError(f"table range {lo} {hi} {step} must be finite")
@@ -191,8 +190,6 @@ def _cmd_horizon(args) -> int:
             M_values.append(round(v, 12))
             v += step
         rows = horizon_table(M_values, n_max=args.N_max)
-        if args.output is None:
-            raise ValueError("--output is required with --table")
         horizon_table_to_csv(rows, args.output, _config_line({"table": list(args.table), "N_max": args.N_max}))
         print(f"wrote {len(rows)} rows to {args.output}")
         return 0
@@ -334,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="construct growth-bound sequences as CSV")
     _add_gamma_source(p)
-    p.add_argument("--length", type=int, help="number of entries to generate")
+    p.add_argument("--length", type=int, required=True, help="number of entries to generate")
     p.add_argument("--output", type=_output_path, help="CSV destination (stdout if omitted)")
     p.set_defaults(handler=_cmd_gamma)
 

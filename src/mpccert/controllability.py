@@ -68,36 +68,16 @@ class GammaSequence:
                 )
             prev = v
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def n(self) -> int:
         """Largest index N for which a bound is available."""
         return len(self.values)
 
-    def gamma(self, i: int) -> float:
-        """1-based access; ``gamma(0)`` returns the implied 1.0."""
-        if i == 0:
-            return 1.0
-        if not 1 <= i <= len(self.values):
-            raise IndexError(f"gamma_{i} not available (N = {len(self.values)})")
-        return self.values[i - 1]
-
-    def deltas(self) -> tuple[float, ...]:
-        """First differences Delta_i = gamma_i - gamma_{i-1} with gamma_0 = 1."""
-        prev = 1.0
-        out = []
-        for v in self.values:
-            out.append(v - prev)
-            prev = v
-        return tuple(out)
-
     def truncated(self, n: int) -> "GammaSequence":
-        """The leading subsequence gamma_1..gamma_n (n >= 2)."""
-        if n > len(self.values):
-            raise ValueError(f"cannot truncate to {n} entries, only {len(self.values)} available")
-        return GammaSequence(self.values[:n])
+        """The leading subsequence gamma_1..gamma_n for 2 <= n <= N; ``self`` at n == N."""
+        if not 2 <= n <= self.n:
+            raise ValueError(f"cannot truncate to n = {n} entries: need 2 <= n <= N = {self.n}")
+        return self if n == self.n else GammaSequence(self.values[:n])
 
 
 def gamma_from_exponential(C: float, sigma: float, n: int) -> GammaSequence:

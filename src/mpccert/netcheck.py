@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ._output import dumps_stable
-from .certificate import _alpha_profile
+from .certificate import CLOSED_FORM, _profile
 from .controllability import GammaSequence
 from .sim.loop import LyapunovAudit, dropout_schedule, measured_alpha, mpc_run, verify_relaxed_lyapunov
 from .sim.lq import gamma_from_riccati
@@ -58,7 +58,7 @@ def certify_up_to(gamma: GammaSequence, horizon: int, m_star: int) -> UpToCertif
     """
     if not 1 <= m_star <= horizon - 1:
         raise ValueError(f"m* = {m_star} must satisfy 1 <= m* <= N - 1 = {horizon - 1}")
-    profile = _alpha_profile(gamma.truncated(horizon).values)[:m_star]
+    profile = _profile(gamma.truncated(horizon), CLOSED_FORM)[:m_star]
     i = int(np.argmin(profile))  # the first minimum
     return UpToCertificate(
         horizon=horizon,

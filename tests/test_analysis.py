@@ -222,6 +222,13 @@ class TestAlphaProfile:
         for m in range(1, 12):
             assert alphas[m] == alphas[12 - m]
 
+    def test_horizon_outside_the_sequence_is_refused(self):
+        g = gamma_from_exponential(3.0, 2.0 / 3.0, 12)
+        # a negative horizon used to slice off the tail and return the N = 11 profile
+        for n in (-1, 0, 1, 13):
+            with pytest.raises(ValueError, match=rf"n = {n} entries"):
+                alpha_profile_m(g, n)
+
     def test_profile_csv(self, tmp_path):
         g = gamma_from_exponential(3.0, 2.0 / 3.0, 4)
         path = tmp_path / "profile.csv"

@@ -111,6 +111,8 @@ class TestQueryValidation:
         g = constant_gamma(2.0, 4)
         with pytest.raises(ValueError):
             certificate(CertificateQuery(g, 4, 1), method="magic")
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
+            alpha_profile_m(g, 4, "magic")
 
 
 # --- the worst-case linear program ------------------------------------------

@@ -99,6 +99,26 @@ class TestGammaAndCsvInterop:
         assert rows[2] == "2,4.5"
 
 
+    def test_a_cut_outside_the_file_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "gamma.csv"
+        assert main(["gamma", "--M", "2", "--length", "12", "--output", str(path)]) == 0
+        capsys.readouterr()
+        # a negative length or horizon used to slice the sequence from its end
+        # and print a shorter one under the negative value
+        for argv in (
+            ["gamma", "--gamma-csv", str(path), "--length", "-2"],
+            ["gamma", "--gamma-csv", str(path), "--length", "13"],
+            ["profile", "--gamma-csv", str(path), "--N", "-1"],
+            ["profile", "--gamma-csv", str(path), "--N", "13"],
+            ["alpha", "--gamma-csv", str(path), "--N", "1", "--m", "1"],
+        ):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+            assert "need 2 <= n <= N = 12" in captured.err
+
+
 class TestProfileRegionHorizon:
     def test_profile_csv(self, capsys, tmp_path):
         argv = ["profile", "--C", "3", "--sigma", "0.6666666667", "--N", "12"]
@@ -185,6 +205,16 @@ class TestProfileRegionHorizon:
             captured = capsys.readouterr()
             assert captured.err.startswith("error: --table ") and captured.err.count("\n") == 1, captured.err
             assert captured.out == "" and not out.exists()
+
+    def test_horizon_table_without_output_is_refused_before_the_sweep(self, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the table was computed although it cannot be written")
+
+        monkeypatch.setattr("mpccert.cli.horizon_table", sweep)
+        assert main(["horizon", "--table", "2", "40", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --output is required with --table\n"
 
     def test_horizon_table_rejects_endless_or_empty_ranges(self, tmp_path):
         # a non-positive step used to loop forever, growing without bound,
@@ -431,6 +461,8 @@ class TestArgumentHandling:
             ["alpha", "--M", "2", "--N", "4", "--m", "1", "--bogus"],
             # the exact route of an unbounded LQ plant has no iterations to cap
             ["network", "--model", "lq-scalar", "--N", "6", "--m-star", "3", "--p", "0.3", "--maxiter", "5"],
+            # a missing required flag is argparse's usage error too
+            ["gamma", "--M", "2"],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 main(argv)

@@ -22,20 +22,8 @@ class TestGammaSequence:
     def test_basic_access_is_one_based(self):
         g = GammaSequence((1.5, 2.0, 2.25))
         assert g.n == 3
-        assert len(g) == 3
-        assert g.gamma(1) == 1.5
-        assert g.gamma(3) == 2.25
-
-    def test_index_zero_is_the_implied_one(self):
-        g = GammaSequence((1.5, 2.0))
-        assert g.gamma(0) == 1.0
-
-    def test_out_of_range_access_raises(self):
-        g = GammaSequence((1.5, 2.0))
-        with pytest.raises(IndexError):
-            g.gamma(3)
-        with pytest.raises(IndexError):
-            g.gamma(-1)
+        assert g.values[0] == 1.5  # gamma_1
+        assert g.values[g.n - 1] == 2.25  # gamma_N
 
     def test_needs_at_least_two_entries(self):
         with pytest.raises(ValueError):
@@ -59,18 +47,23 @@ class TestGammaSequence:
 
     def test_deltas_use_the_implied_leading_one(self):
         g = GammaSequence((1.5, 2.0, 2.25))
-        assert g.deltas() == (0.5, 0.5, 0.25)
+        assert deltas(g) == (0.5, 0.5, 0.25)
 
     def test_truncated(self):
         g = GammaSequence((1.5, 2.0, 2.25, 2.5))
-        t = g.truncated(2)
-        assert t.values == (1.5, 2.0)
-        with pytest.raises(ValueError):
-            g.truncated(5)
+        for k in (2, 3):
+            assert g.truncated(k).values == g.values[:k]
+        # the full length is the sequence itself, not a re-validated copy
+        assert g.truncated(g.n) is g
+        # a cut outside 2..N is refused, a negative one included (Python
+        # slicing would otherwise return a shorter prefix)
+        for k in (-1, 0, 1, g.n + 1):
+            with pytest.raises(ValueError, match=rf"n = {k} entries: need 2 <= n <= N = 4"):
+                g.truncated(k)
 
     def test_flat_sequence_is_valid(self):
         g = GammaSequence((1.0, 1.0, 1.0))
-        assert g.deltas() == (0.0, 0.0, 0.0)
+        assert deltas(g) == (0.0, 0.0, 0.0)
 
 
 class TestConstructors:
@@ -79,11 +72,11 @@ class TestConstructors:
         g = gamma_from_exponential(C, sigma, n)
         for i in range(1, n + 1):
             expect = C * sum(sigma ** k for k in range(i))
-            assert g.gamma(i) == pytest.approx(expect, rel=1e-13)
+            assert g.values[i - 1] == pytest.approx(expect, rel=1e-13)
 
     def test_exponential_first_entry_is_c(self):
         g = gamma_from_exponential(2.5, 0.4, 3)
-        assert g.gamma(1) == pytest.approx(2.5, rel=1e-15)
+        assert g.values[0] == pytest.approx(2.5, rel=1e-15)
 
     def test_exponential_validates_parameters(self):
         with pytest.raises(ValueError):
@@ -147,10 +140,20 @@ class TestSubmultiplicative:
                 assert check_submultiplicative(gamma) is verdict, (i, d_i)
 
 
+def deltas(gamma: GammaSequence) -> tuple[float, ...]:
+    """First differences Delta_i = gamma_i - gamma_{i-1} with gamma_0 = 1."""
+    prev = 1.0
+    out = []
+    for v in gamma.values:
+        out.append(v - prev)
+        prev = v
+    return tuple(out)
+
+
 def submultiplicative_pairwise(gamma: GammaSequence) -> bool:
     """The definition checked pair by pair: the oracle for the blocked,
     vectorized ``check_submultiplicative``, which forms the same products."""
-    d = gamma.deltas()
+    d = deltas(gamma)
     n = len(d)
     for i in range(1, n):  # pair (i, j), 1-based, i <= j, i + j <= n
         for j in range(i, n - i + 1):
@@ -175,7 +178,7 @@ def submultiplicative_candidates(draw):
     g = gamma_from_exponential(float(rng.uniform(1.0, 6.0)), float(rng.uniform(0.01, 0.99)), n)
     if kind == "exponential":
         return g
-    d = list(g.deltas())
+    d = list(deltas(g))
     k = int(rng.integers(n // 2, n))
     d[k] *= float(rng.uniform(1.0, 3.0))
     return GammaSequence(tuple(np.cumsum([1.0] + d)[1:]))
@@ -255,6 +258,6 @@ def test_any_valid_sequence_round_trips_through_csv(tmp_path_factory, g):
 @given(gamma_sequences())
 def test_deltas_always_sum_back_to_gamma(g):
     partial = 1.0
-    for d, v in zip(g.deltas(), g.values):
+    for d, v in zip(deltas(g), g.values):
         partial += d
         assert partial == pytest.approx(v, rel=1e-12, abs=1e-12)
