@@ -16,7 +16,7 @@ import numpy as np
 
 from ._output import fmt12, write_csv
 from .certificate import CLOSED_FORM, _alpha_profile, _profile
-from .controllability import GammaSequence, constant_gamma, gamma_from_exponential
+from .controllability import _CHECK_BLOCK_CELLS, GammaSequence, constant_gamma, gamma_from_exponential
 
 __all__ = [
     "HorizonResult",
@@ -66,6 +66,13 @@ class HorizonResult:
     policy: str
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: any integral type but bool, else ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def exponential_family(C: float, sigma: float) -> GammaFactory:
     """Growth-bound factory N -> gamma_1..gamma_N for exponential decay."""
     return lambda n: gamma_from_exponential(C, sigma, n)
@@ -89,7 +96,8 @@ def minimal_horizon(
     (m = floor(N/2), at least 1).  The scan is linear rather than bisective
     because alpha need not be monotone in N for arbitrary growth sequences.
     """
-    if isinstance(policy, int):
+    if not isinstance(policy, str):
+        policy = _integer(policy, "policy")
         if policy < 1:
             raise ValueError(f"fixed control horizon must be >= 1, got {policy}")
     elif policy not in ("best", "half"):
@@ -210,9 +218,9 @@ def stability_region(
 
     The verdict is monotone in both parameters (larger overshoot or slower
     decay only hurts), so each sigma-column of the mask is a prefix of
-    stable cells in C.  Each sigma-column is one call of the profile kernel on the bounds of
-    every C at once, accumulated with the same float operations as
-    :func:`gamma_from_exponential`, so each cell's verdict is that of
+    stable cells in C.  A block of sigma-columns (``_CHECK_BLOCK_CELLS``
+    bounds, or one column) is one profile-kernel call on bounds accumulated
+    as in :func:`gamma_from_exponential`, so each cell's verdict is that of
     ``certificate(CertificateQuery(gamma_from_exponential(C, sigma, N), N, m))``.
     """
     if C_values is None or sigma_values is None:
@@ -221,22 +229,25 @@ def stability_region(
         sigma_values = dS if sigma_values is None else sigma_values
     C_values = np.asarray(C_values, dtype=float)
     sigma_values = np.asarray(sigma_values, dtype=float)
-    if not np.all(np.isfinite(C_values) & (C_values >= 1.0)):
-        raise ValueError("overshoot axis must satisfy C >= 1 and be finite")
-    if not np.all((sigma_values > 0.0) & (sigma_values < 1.0)):
-        raise ValueError("decay axis must lie strictly inside (0, 1)")
+    if C_values.ndim != 1 or not C_values.size or not np.all(np.isfinite(C_values) & (C_values >= 1.0)):
+        raise ValueError("overshoot axis must be a non-empty 1-D sequence of finite C >= 1")
+    if sigma_values.ndim != 1 or not sigma_values.size or not np.all((sigma_values > 0.0) & (sigma_values < 1.0)):
+        raise ValueError("decay axis must be a non-empty 1-D sequence strictly inside (0, 1)")
+    horizon, m = _integer(horizon, "prediction horizon N"), _integer(m, "control horizon m")
     if not 1 <= m <= horizon - 1:
         raise ValueError(f"control horizon m = {m} must satisfy 1 <= m <= N - 1 = {horizon - 1}")
     mask = np.zeros((C_values.size, sigma_values.size), dtype=bool)
-    gamma = np.empty((C_values.size, horizon))
-    for j, sig in enumerate(sigma_values):
-        total = np.zeros(C_values.size)
-        term = C_values.copy()
+    width = max(1, _CHECK_BLOCK_CELLS // (C_values.size * horizon))  # sigma-columns per block
+    for j in range(0, sigma_values.size, width):
+        sig = sigma_values[j : j + width]
+        gamma = np.empty((C_values.size, sig.size, horizon))
+        total = np.zeros((C_values.size, sig.size))
+        term = np.repeat(C_values[:, None], sig.size, axis=1)
         for k in range(horizon):
             total += term
-            gamma[:, k] = total
+            gamma[..., k] = total
             term *= sig
-        mask[:, j] = _alpha_profile(gamma)[:, m - 1] >= 0.0
+        mask[:, j : j + width] = _alpha_profile(gamma)[..., m - 1] >= 0.0
     return RegionGrid(
         horizon=horizon,
         m=m,

@@ -193,17 +193,20 @@ def _alpha_lp_profile(gamma) -> np.ndarray:
     Runs the backward recursion of the module docstring for every m at
     once.  At step t = 1..N-2 the chains of m = 1..N-1-t take their row
     with gamma_{m+1+t} under the common cap 1 - 1/gamma_{t+1}, so the
-    profile costs O(N) array steps.  Leading axes broadcast as in
-    :func:`_alpha_profile`.
+    profile costs O(N) array steps, with gamma_i - 1 and the caps formed once
+    and one reused buffer.  Leading axes broadcast as in :func:`_alpha_profile`.
     """
     g = np.asarray(gamma, dtype=float)
     n = g.shape[-1]
-    v = g[..., 1:] - 1.0  # the last row of each chain: gamma_{m+1} - 1
+    num = g[..., 1:] - 1.0
+    v, buf = num.copy(), np.empty_like(num)  # v starts at the last row of each chain: gamma_{m+1} - 1
+    caps = 1.0 - 1.0 / g[..., 1 : n - 1, None]
     for t in range(1, n - 1):
-        live = v[..., : n - 1 - t]
-        row = g[..., 1 + t :]
-        cap = 1.0 - 1.0 / g[..., t, None]
-        live *= np.minimum((row - 1.0) / (row + live), cap)
+        live, step = v[..., : n - 1 - t], buf[..., : n - 1 - t]
+        np.add(g[..., 1 + t :], live, out=step)  # gamma_{m+1+t} + v
+        np.divide(num[..., t:], step, out=step)
+        np.minimum(step, caps[..., t - 1, :], out=step)
+        live *= step
     return 1.0 - v * _suffix_ratios(g[..., 1:])[..., ::-1]
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ._output import fmt12, write_csv
 
@@ -35,7 +35,7 @@ __all__ = [
 
 GAMMA_CSV_HEADER = "i,gamma"
 
-_CHECK_BLOCK_CELLS = 1 << 14  # products per block of check_submultiplicative
+_CHECK_BLOCK_CELLS = 1 << 14  # array cells per block in check_submultiplicative and stability_region
 
 
 @dataclass(frozen=True)
@@ -146,19 +146,20 @@ def check_submultiplicative(gamma: GammaSequence) -> bool:
 
     Row a (0-based) of the comparison tests Delta_{a+1} * Delta_{b+1} <
     Delta_{a+b+2} for every b at once, against a window of the differences
-    padded with -inf past N, so pairs beyond N never fail.  A pair with b < a
-    repeats the test of (b, a), and every pair with a <= b has a < N // 2,
-    so those rows cover all pairs.  Rows go in blocks of at most
-    ``_CHECK_BLOCK_CELLS`` products, which bounds the memory for long
-    sequences.
+    padded with -inf past N (one buffer, read through a strided view), so
+    pairs beyond N never fail.  A pair with b < a repeats the test of (b, a),
+    and every pair with a <= b has a < N // 2, so those rows cover all pairs.
+    Rows go in blocks of at most ``_CHECK_BLOCK_CELLS`` products, which
+    bounds the memory for long sequences.
     """
-    d = np.diff(np.asarray(gamma.values, dtype=float), prepend=1.0)
-    n = d.size
-    half = n // 2
-    targets = sliding_window_view(np.concatenate([d[1:], np.full(n, -np.inf)]), n)
+    n = len(gamma.values)
+    g = np.array((1.0, *gamma.values))  # gamma_0..gamma_N
+    buf = np.full(2 * n, -np.inf)  # Delta_1..Delta_N, then the padding
+    d = np.subtract(g[1:], g[:-1], out=buf[:n])
+    targets = as_strided(buf[1:], (n, n), (buf.itemsize, buf.itemsize), writeable=False)
     rows = max(1, _CHECK_BLOCK_CELLS // n)
-    for a in range(0, half, rows):
-        b = min(a + rows, half)
+    for a in range(0, n // 2, rows):
+        b = min(a + rows, n // 2)
         if np.any(d[a:b, None] * d < targets[a:b]):
             return False
     return True

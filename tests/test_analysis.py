@@ -1,5 +1,6 @@
 """Horizon analysis: minimal stabilizing horizons, thresholds, regions."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mpccert.analysis import (
     profile_to_csv,
     region_to_csv,
 )
+from mpccert.certificate import _alpha_profile
 
 
 class TestMinimalHorizon:
@@ -76,6 +78,17 @@ class TestMinimalHorizon:
             minimal_horizon(constant_family(2.0), policy="median")
         with pytest.raises(ValueError):
             minimal_horizon(constant_family(2.0), policy=0)
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match="policy"):
+                minimal_horizon(constant_family(2.0), policy=flag)
+        with pytest.raises(ValueError, match="policy"):
+            minimal_horizon(constant_family(2.0), policy=2.0)
+
+    def test_any_integral_policy_is_a_fixed_m(self):
+        for policy in (np.int64(3), np.int32(3), np.uint8(3)):
+            res = minimal_horizon(constant_family(2.0), policy=policy)
+            assert res == minimal_horizon(constant_family(2.0), policy=3)
+            assert type(res.m) is int and res.policy == "3"
 
 
 class TestHorizonBounds:
@@ -134,6 +147,23 @@ class TestHorizonTable:
         assert len(lines) == 4
 
 
+def region_by_columns(horizon, m, C_values, sigma_values) -> np.ndarray:
+    """The stability mask built one sigma-column per kernel call: the unblocked
+    form ``stability_region`` must equal bit for bit."""
+    C_values = np.asarray(C_values, dtype=float)
+    mask = np.zeros((C_values.size, len(sigma_values)), dtype=bool)
+    gamma = np.empty((C_values.size, horizon))
+    for j, sig in enumerate(sigma_values):
+        total = np.zeros(C_values.size)
+        term = C_values.copy()
+        for k in range(horizon):
+            total += term
+            gamma[:, k] = total
+            term *= sig
+        mask[:, j] = _alpha_profile(gamma)[:, m - 1] >= 0.0
+    return mask
+
+
 class TestStabilityRegion:
     def test_small_grid_verdicts(self):
         # N = 2, m = 1: stable iff C (1 + sigma) <= 2, checkable by hand
@@ -178,6 +208,27 @@ class TestStabilityRegion:
         ]
         np.testing.assert_array_equal(grid.stable, expect)
 
+    @pytest.mark.parametrize("n", [2, 7, 30])
+    def test_blocks_equal_the_column_loop(self, n):
+        # 120 x 90 cells span 2, 5 and 23 blocks of sigma-columns at N = 2, 7, 30
+        C, sigma = np.linspace(1.0, 10.0, 120), np.linspace(0.01, 0.99, 90)
+        for m in sorted({1, n // 2, n - 1}):
+            expect = region_by_columns(n, m, C, sigma)
+            assert 0 < np.count_nonzero(expect) < expect.size
+            assert np.array_equal(stability_region(n, m, C_values=C, sigma_values=sigma).stable, expect), m
+
+    def test_memory_stays_within_a_block(self):
+        # one column of 1000 C values at N = 40 already exceeds the block
+        # budget; a batch over all 50 columns would need well over 100 MB
+        C, sigma = np.linspace(1.0, 10.0, 1000), np.linspace(0.01, 0.99, 50)
+        tracemalloc.start()
+        try:
+            stability_region(40, 20, C_values=C, sigma_values=sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_fraction(self):
         # at N = 2 the test is C * (1 + sigma) <= 2: the C = 1 row is stable
         # for every sigma < 1, the C = 3 row never is
@@ -197,6 +248,14 @@ class TestStabilityRegion:
             stability_region(4, 1, C_values=[2.0], sigma_values=[np.nan])
         with pytest.raises(ValueError):
             stability_region(4, 4, C_values=[2.0], sigma_values=[0.5])
+        for C, sigma in (([], [0.5]), ([2.0], []), ([[2.0, 3.0]], [0.5]), ([2.0], [[0.5]])):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                stability_region(4, 1, C_values=C, sigma_values=sigma)
+        for n, m in ((2.5, 1), (4.0, 1), (True, 1), (4, 1.5), (4, np.True_)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                stability_region(n, m, C_values=[2.0], sigma_values=[0.5])
+        grid = stability_region(np.int64(4), np.int32(2), C_values=[2.0], sigma_values=[0.5])
+        assert (type(grid.horizon), type(grid.m)) == (int, int)
         with pytest.raises(ValueError):
             default_region_axes(cells=1)
 

@@ -26,7 +26,15 @@ from mpccert import (
     max_alpha_over_m,
 )
 from mpccert.analysis import alpha_profile_m
-from mpccert.certificate import LinearProgram, LpError, _alpha_lp_profile, _alpha_profile, build_lp, solve_lp
+from mpccert.certificate import (
+    LinearProgram,
+    LpError,
+    _alpha_lp_profile,
+    _alpha_profile,
+    _suffix_ratios,
+    build_lp,
+    solve_lp,
+)
 
 from conftest import random_monotone_gamma
 
@@ -268,8 +276,34 @@ def recursion_instances(seed: int, count: int, max_n: int):
             yield GammaSequence((1.0,) * k + g.values[: n - k])
 
 
+def lp_profile_stepwise(gamma) -> np.ndarray:
+    """The recursion of ``_alpha_lp_profile`` with every step's numerator,
+    cap and quotient formed afresh: the unbuffered form it must equal bit
+    for bit."""
+    g = np.asarray(gamma, dtype=float)
+    n = g.shape[-1]
+    v = g[..., 1:] - 1.0
+    for t in range(1, n - 1):
+        live = v[..., : n - 1 - t]
+        row = g[..., 1 + t :]
+        cap = 1.0 - 1.0 / g[..., t, None]
+        live *= np.minimum((row - 1.0) / (row + live), cap)
+    return 1.0 - v * _suffix_ratios(g[..., 1:])[..., ::-1]
+
+
 class TestExactRecursion:
     """The backward recursion behind ``alpha_lp`` against independent routes."""
+
+    def test_buffered_steps_equal_the_stepwise_recursion(self):
+        for gamma in recursion_instances(seed=13, count=45, max_n=400):
+            assert np.array_equal(_alpha_lp_profile(gamma.values), lp_profile_stepwise(gamma.values)), gamma.n
+        for n in (2, 3, 60, 400):  # the 2-D row batch
+            rng = np.random.default_rng(n)
+            rows = np.array(
+                [random_monotone_gamma(rng, n).values for _ in range(5)]
+                + [gamma_from_exponential(3.0, 0.5, n).values, (1.0,) * n]
+            )
+            assert np.array_equal(_alpha_lp_profile(rows), lp_profile_stepwise(rows)), n
 
     def test_matches_the_lp_solver_where_it_certifies(self):
         rng = np.random.default_rng(7)
